@@ -20,6 +20,10 @@ gated on:
    headline cell in the recording — live, batched must not be slower than
    1.1× numpy there and must be observationally identical to it
    (decisions, discoveries, metrics spot check).
+   The façade must reach the right executor: ``engine="auto"`` resolves to
+   batched at the headline cell and to ``fast`` on every recorded
+   Algorithm C and hybrid cell (batched-ineligible runs, where numpy's
+   per-call overhead loses to fast).
 3. **Recorded baseline** — when ``BENCH_perf.json`` exists, the recording
    itself must show the acceptance-gate speedups (≥ 5× fast-vs-reference on
    the Exponential headline cell, ≥ 2× numpy-vs-fast, and — when the
@@ -47,11 +51,12 @@ import pytest
 
 from conftest import load_recorded_perf, recorded_perf_row
 
-from repro.api import RunRequest, execute
+from repro.api import RunRequest, execute, request_fields_for_spec
 from repro.core.algorithm_b import AlgorithmBSpec
 from repro.core.algorithm_c import AlgorithmCSpec
 from repro.core.engine import numpy_available, use_engine
 from repro.core.exponential import ExponentialSpec
+from repro.core.hybrid import HybridSpec
 from repro.core.protocol import ProtocolConfig
 from repro.experiments.workloads import worst_case_scenarios
 from repro.runtime.simulation import run_agreement
@@ -152,6 +157,33 @@ def test_facade_auto_resolves_to_batched_at_headline(monkeypatch):
         f"auto resolved to {report.engine_resolved!r} on the eligible "
         f"headline cell; the planner lost the batched path")
     assert report.agreement
+
+
+def test_facade_auto_resolves_to_fast_on_recorded_c_and_hybrid_cells(
+        monkeypatch):
+    """``auto`` must not plan C or the hybrid onto per-processor numpy.
+
+    Neither steps as a batched row stack, and on their small trees numpy
+    runs at 0.37–0.67× of ``fast`` in the recording — so the planner's
+    fallback for batched-ineligible runs is ``fast``, proved per recorded
+    cell by the report's run metadata.
+    """
+    from bench_perf import CELLS
+    monkeypatch.delenv("REPRO_EIG_ENGINE", raising=False)
+    cells = [(spec_cls(*args), n, t) for label, spec_cls, args, grid in CELLS
+             if spec_cls in (AlgorithmCSpec, HybridSpec) for n, t in grid]
+    assert len(cells) == 4
+    for spec, n, t in cells:
+        protocol, params = request_fields_for_spec(spec)
+        report = execute(RunRequest(protocol=protocol, protocol_params=params,
+                                    n=n, t=t, initial_value=1,
+                                    scenario="faulty-source-allies",
+                                    battery="worst-case", engine="auto"))
+        assert report.engine_resolved == "fast", (
+            f"auto resolved {spec.name} (n={n}, t={t}) to "
+            f"{report.engine_resolved!r}; batched-ineligible runs belong "
+            f"on the fast engine")
+        assert report.agreement
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")

@@ -9,7 +9,7 @@ executing agreement runs:
   :class:`RunReport`, and :class:`SweepSpec`, JSON-round-trippable
   descriptions of runs, their outcomes, and whole sweeps;
 * **planner** (:mod:`.planner`) — ``engine="auto"`` resolution to
-  batched → numpy → fast based on spec eligibility and numpy availability,
+  batched where the run is eligible and the fast engine otherwise,
   with explicit choices overriding ambient (env-var / process-default)
   settings loudly;
 * **executors** (:mod:`.executors`) — the pluggable execution layer

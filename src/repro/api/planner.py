@@ -13,22 +13,25 @@ Resolution rules
 ``engine="auto"`` (the default) picks the fastest executor the run is
 eligible for::
 
-    batched  — numpy importable and the spec steps plain EIG machines
-               (Exponential, Algorithms A and B)
-    numpy    — numpy importable (non-EIG specs, or batched-ineligible runs)
-    fast     — always available
+    batched  — numpy importable, the spec steps plain EIG machines
+               (Exponential, Algorithms A and B, PSL), and the adversary
+               does not decline the batched path
+    fast     — every other run (Algorithm C, the hybrid, the other
+               baselines, batched-declining adversaries, no numpy)
+    numpy    — never chosen automatically without an ambient pin
     reference— never chosen automatically; it exists to be asked for
 
 unless the *environment* constrains the choice: ``REPRO_EIG_ENGINE`` or a
-:func:`~repro.core.engine.set_default_engine` call naming ``"fast"`` or
-``"reference"`` pins auto to that per-processor engine (an oracle or
-no-vectorization run stays one); an ambient ``"numpy"`` still upgrades to
-batched where eligible, because batched *is* the numpy layer.
+:func:`~repro.core.engine.set_default_engine` call pins auto's
+per-processor engine to the named one.  An ambient ``"fast"`` or
+``"reference"`` also rules out batching (an oracle or no-vectorization run
+stays one); an ambient ``"numpy"`` still upgrades to batched where
+eligible, because batched *is* the numpy layer.
 
 An **explicit** engine on the request always wins over the ambient settings —
 with a :class:`RuntimeWarning` naming both sides when they conflict, never
-silently.  An explicit ``"batched"`` on an ineligible run degrades to the best
-per-processor engine, also with a warning.
+silently.  An explicit ``"batched"`` on an ineligible run degrades to the
+``"fast"`` engine, also with a warning.
 
 The planner decides the *engine*; the *executor backend* a run is placed on
 (:mod:`repro.api.executors` — serial, pool, or the sharded large-``n``
@@ -103,11 +106,6 @@ def batched_ineligibility(spec: "ProtocolSpec", config: "ProtocolConfig",
     return None
 
 
-def _batched_eligible(spec: "ProtocolSpec", config: "ProtocolConfig",
-                      faulty: FrozenSet[int], adversary=None) -> bool:
-    return batched_ineligibility(spec, config, faulty, adversary) is None
-
-
 def plan_shardable(spec: "ProtocolSpec", config: "ProtocolConfig",
                    faulty: FrozenSet[int] = frozenset(),
                    adversary=None) -> bool:
@@ -121,7 +119,7 @@ def plan_shardable(spec: "ProtocolSpec", config: "ProtocolConfig",
     executor runs it single-process batched, preserving observational
     identity.)
     """
-    return _batched_eligible(spec, config, faulty, adversary)
+    return batched_ineligibility(spec, config, faulty, adversary) is None
 
 
 def plan_run(request: RunRequest, spec: "ProtocolSpec",
@@ -139,21 +137,22 @@ def plan_run(request: RunRequest, spec: "ProtocolSpec",
                 ambient=ambient,
                 reason=f"auto deferred to the ambient {ambient!r} engine "
                        f"(REPRO_EIG_ENGINE / set_default_engine)")
-        if _batched_eligible(spec, config, faulty, adversary):
+        ineligible = batched_ineligibility(spec, config, faulty, adversary)
+        if ineligible is None:
             return ExecutionPlan(
                 engine=NUMPY, batched=True, requested=requested,
                 ambient=ambient,
                 reason="auto: EIG spec eligible for whole-run batched "
                        "stepping")
-        if numpy_available():
-            return ExecutionPlan(
-                engine=NUMPY, batched=False, requested=requested,
-                ambient=ambient,
-                reason="auto: batched-ineligible spec on the vectorized "
-                       "numpy engine")
+        # Most ineligible runs (C, the hybrid) step small trees, where
+        # ndarray overhead makes per-processor numpy lose to fast; only an
+        # ambient pin picks numpy here.
+        engine = ambient or FAST
         return ExecutionPlan(
-            engine=FAST, batched=False, requested=requested, ambient=ambient,
-            reason="auto: numpy unavailable, flat-array fast engine")
+            engine=engine, batched=False, requested=requested,
+            ambient=ambient,
+            reason=f"auto: batched declined ({ineligible}); per-processor "
+                   f"{engine!r} engine")
 
     if requested == BATCHED:
         if ambient not in (None, NUMPY):
@@ -161,21 +160,19 @@ def plan_run(request: RunRequest, spec: "ProtocolSpec",
                 f"explicit engine='batched' overrides the ambient "
                 f"{ambient!r} engine (REPRO_EIG_ENGINE / set_default_engine)",
                 RuntimeWarning, stacklevel=3)
-        if _batched_eligible(spec, config, faulty, adversary):
+        ineligible = batched_ineligibility(spec, config, faulty, adversary)
+        if ineligible is None:
             return ExecutionPlan(
                 engine=NUMPY, batched=True, requested=requested,
                 ambient=ambient, reason="explicit batched request")
-        fallback = NUMPY if numpy_available() else FAST
-        ineligible = batched_ineligibility(spec, config, faulty, adversary)
         warnings.warn(
             f"engine='batched' is not supported for this run "
-            f"({ineligible}); using the per-processor {fallback!r} engine "
+            f"({ineligible}); using the per-processor {FAST!r} engine "
             f"instead",
             RuntimeWarning, stacklevel=3)
         return ExecutionPlan(
-            engine=fallback, batched=False, requested=requested,
-            ambient=ambient,
-            reason=f"batched unsupported here; per-processor {fallback!r} "
+            engine=FAST, batched=False, requested=requested, ambient=ambient,
+            reason=f"batched unsupported here; per-processor {FAST!r} "
                    f"fallback")
 
     # An explicit per-processor engine: it wins over the ambient settings,

@@ -171,7 +171,7 @@ def _parser() -> argparse.ArgumentParser:
                      choices=sorted(adversary_names()))
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--engine", choices=ENGINE_CHOICES, default="auto",
-                     help="executor: auto (planner picks batched→numpy→fast "
+                     help="executor: auto (planner picks batched, else fast, "
                           "by eligibility), batched (whole-run 2-D kernels), "
                           "or a per-processor engine (numpy/fast/reference). "
                           "An explicit choice overrides REPRO_EIG_ENGINE "

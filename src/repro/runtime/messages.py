@@ -31,6 +31,8 @@ from types import MappingProxyType
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Sequence, Tuple)
 
+from ..core.npsupport import (CODE_DTYPE_NAME, MISSING_CODE, VALUE_CODEC,
+                              require_numpy)
 from ..core.sequences import LabelSequence, ProcessorId, SequenceIndex
 from ..core.values import Value
 from .metrics import entry_bits
@@ -295,7 +297,6 @@ class NumpyLevelMessage(LevelMessage):
         return self._values
 
     def level_values(self) -> List[Value]:
-        from ..core.npsupport import VALUE_CODEC
         return VALUE_CODEC.decode_buffer(self._values)
 
     # -- lazy dict interop ---------------------------------------------------
@@ -306,7 +307,6 @@ class NumpyLevelMessage(LevelMessage):
         return self._entries
 
     def value_for(self, seq: LabelSequence) -> Optional[Value]:
-        from ..core.npsupport import MISSING_CODE, VALUE_CODEC
         node_id = self._index.id_map(self._level).get(tuple(seq))
         if node_id is None:
             return None
@@ -317,8 +317,6 @@ class NumpyLevelMessage(LevelMessage):
 
     # -- constructors / rewrites ---------------------------------------------
     def replace_values(self, value: Value) -> "NumpyLevelMessage":
-        from ..core.npsupport import (CODE_DTYPE_NAME, VALUE_CODEC,
-                                      require_numpy)
         np = require_numpy()
         codes = np.full(len(self._values), VALUE_CODEC.code(value),
                         dtype=CODE_DTYPE_NAME)
@@ -330,7 +328,6 @@ class NumpyLevelMessage(LevelMessage):
                                  sender, self.round_number)
 
     def with_level_values(self, values: List[Value]) -> "NumpyLevelMessage":
-        from ..core.npsupport import VALUE_CODEC
         return NumpyLevelMessage(self._index, self._level,
                                  VALUE_CODEC.encode_buffer(values),
                                  self.sender, self.round_number)
@@ -347,7 +344,6 @@ class NumpyLevelMessage(LevelMessage):
         code a new value receives — set order would make the codec table
         depend on hash seeding.
         """
-        from ..core.npsupport import MISSING_CODE, VALUE_CODEC
         return {int(c): VALUE_CODEC.code(fn(VALUE_CODEC.value(int(c))))
                 for c in sorted(set(codes.tolist())) if c != MISSING_CODE}
 
@@ -363,7 +359,6 @@ class NumpyLevelMessage(LevelMessage):
                       fn: Callable[[Value], Value]) -> "NumpyLevelMessage":
         if len(node_ids) == 0:
             return self
-        from ..core.npsupport import require_numpy
         np = require_numpy()
         node_ids = np.asarray(node_ids, dtype=np.int64)
         codes = self._values

@@ -227,11 +227,43 @@ class TestPlanner:
 
     @pytest.mark.skipif(not engine_module.numpy_available(),
                         reason="numpy not installed")
-    def test_auto_falls_back_to_numpy_for_ineligible_specs(self):
+    def test_auto_falls_back_to_fast_for_ineligible_specs(self):
+        # Small trees and short phases are where per-processor numpy loses
+        # to fast, so batched-ineligible runs plan onto fast even with numpy.
         for protocol in ("algorithm-c", "hybrid", "phase-king",
                          "dolev-strong"):
             plan = plan_request(small_request(protocol))
-            assert plan.resolved == "numpy", protocol
+            assert plan.resolved == "fast", protocol
+            assert not plan.batched, protocol
+            report = execute(small_request(protocol))
+            assert report.engine_resolved == "fast", protocol
+        # An adversary that declines batching demotes an eligible spec too.
+        for adversary in ("crash-recovery", "receive-omission"):
+            request = small_request("exponential", adversary=adversary)
+            plan = plan_request(request)
+            assert plan.resolved == "fast", adversary
+            declined = adversary_registry()[adversary].factory
+            assert declined.batched_fallback_reason in plan.reason, adversary
+            assert execute(request).engine_resolved == "fast", adversary
+
+    @pytest.mark.skipif(not engine_module.numpy_available(),
+                        reason="numpy not installed")
+    @pytest.mark.parametrize("pin", ["env", "set_default_engine"])
+    def test_ambient_numpy_pins_ineligible_runs_and_keeps_batched(
+            self, monkeypatch, pin):
+        if pin == "env":
+            monkeypatch.setenv("REPRO_EIG_ENGINE", "numpy")
+        else:
+            engine_module.set_default_engine("numpy")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # deference must not warn
+            hybrid = execute(small_request("hybrid"))
+            exponential = execute(small_request("exponential"))
+            crash = plan_request(small_request(
+                "exponential", adversary="crash-recovery"))
+        assert hybrid.engine_resolved == "numpy"
+        assert exponential.engine_resolved == "batched"
+        assert crash.resolved == "numpy"
 
     def test_auto_falls_back_to_fast_without_numpy(self, monkeypatch):
         monkeypatch.setattr(planner_module, "numpy_available", lambda: False)
@@ -282,9 +314,9 @@ class TestPlanner:
     @pytest.mark.skipif(not engine_module.batched_available(),
                         reason="numpy not installed")
     def test_explicit_batched_degrades_with_warning_when_unsupported(self):
-        with pytest.warns(RuntimeWarning, match="not supported"):
+        with pytest.warns(RuntimeWarning, match="not supported.*'fast'"):
             report = execute(small_request("hybrid", engine="batched"))
-        assert report.engine_resolved == "numpy"
+        assert report.engine_resolved == "fast"
         assert report.agreement
 
     def test_unusable_numpy_env_falls_through_to_default_pin(self, monkeypatch):

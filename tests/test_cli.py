@@ -406,6 +406,24 @@ class TestValidateCommand:
         assert rows[1]["resolved"] == "fast"
         assert rows[1]["shardable"] is False
 
+    def test_validate_all_registered_plans_ineligible_runs_on_fast(
+            self, capsys, monkeypatch):
+        # The CI lint job runs this cross-product; pinning the resolved
+        # engine per row turns it into a planner-drift check.
+        monkeypatch.delenv("REPRO_EIG_ENGINE", raising=False)
+        assert engine_module.ambient_engine() is None
+        assert main(["validate", "--all-registered", "--json"]) == 0
+        by_protocol = {}
+        for row in json.loads(capsys.readouterr().out):
+            eligible = row["batched"] == "eligible"
+            assert row["resolved"] == ("batched" if eligible else "fast"), row
+            by_protocol.setdefault(row["protocol"], set()).add(row["resolved"])
+        for protocol in ("algorithm-c", "hybrid", "phase-king",
+                         "dolev-strong"):
+            assert by_protocol[protocol] == {"fast"}, protocol
+        if engine_module.batched_available():
+            assert "batched" in by_protocol["exponential"]
+
     def test_validate_flags_invalid_requests(self, tmp_path, capsys):
         payload = [
             {"protocol": "exponential", "n": 7, "t": 2},

@@ -10,6 +10,7 @@ discipline shared with sweeps: atomic header creation, digest pinning
 refusal of corruption.
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -20,6 +21,7 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.core.engine import numpy_available, use_engine
 from repro.runtime.errors import ConfigurationError
 from repro.stats import (McCell, McSpec, McState, bound_rows, cell_rows,
                          mc_digest, read_mc_checkpoint, render_markdown,
@@ -145,6 +147,48 @@ class TestRunMc:
             (c, done, total)))
         assert len(seen) == spec.total_chunks
         assert seen[-1] == (spec.total_chunks - 1, 24, 24)
+
+
+#: The mc-mixed benchmark's cell shapes: C, the hybrid, a batched-declining
+#: adversary on Exponential, and one batched-eligible omission cell.
+MIXED_CELLS = (
+    McCell(protocol="algorithm-c", n=14, t=2, adversary="two-faced"),
+    McCell(protocol="algorithm-c", n=20, t=3, adversary="random-liar"),
+    McCell(protocol="hybrid", n=10, t=3, adversary="random-liar",
+           protocol_params={"b": 3}),
+    McCell(protocol="hybrid", n=13, t=4, adversary="two-faced",
+           protocol_params={"b": 3}),
+    McCell(protocol="exponential", n=10, t=3, adversary="crash-recovery"),
+    McCell(protocol="algorithm-b", n=9, t=2, adversary="send-omission",
+           protocol_params={"b": 2}),
+)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+@pytest.mark.parametrize("cell", MIXED_CELLS, ids=McCell.label)
+def test_auto_campaign_state_matches_numpy(cell):
+    """Engine planning never reaches campaign state.
+
+    ``auto`` plans C, the hybrid and batched-declining runs onto ``fast``;
+    the final state must equal both an explicit ``engine="numpy"`` campaign
+    (cells differ only in their ``engine`` field) and an ambient-numpy
+    ``auto`` campaign (byte-equal), so checkpoints, pinned digests, and the
+    serve cache stay valid across planner changes.
+    """
+    def state(engine_cell):
+        return run_mc(McSpec(cells=(engine_cell,), trials=3, sweep_seed=5,
+                             chunk_size=2)).state.to_dict()
+
+    def without_engine(payload):
+        for aggregate in payload["aggregates"]:
+            del aggregate["cell"]["engine"]
+        return payload
+
+    auto = state(cell)
+    with use_engine("numpy"):
+        assert state(cell) == auto
+    numpy_state = state(dataclasses.replace(cell, engine="numpy"))
+    assert without_engine(numpy_state) == without_engine(auto)
 
 
 class TestKillSurvival:
