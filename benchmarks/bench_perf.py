@@ -67,10 +67,10 @@ HEADLINE = ("exponential", 13, 4)
 #: The sharded run executor, timed as a fifth mode on the large-``n`` cells.
 SHARDED = "sharded"
 
-#: Shard count the recording uses.  Two shards split the row stack's working
-#: set in half — the cache relief is what wins the large-``n`` cells even on
-#: a single-CPU recording box; more shards mainly add claims-shipping cost
-#: until real cores absorb them.
+#: Shard count the recording uses: one worker per CPU of a two-CPU box.
+#: The batched kernels already step cache-sized row blocks, so sharding can
+#: win only by parallel compute; more shards than cores just add
+#: claims-shipping cost.
 SHARDED_SHARDS = 2
 
 #: (label, spec factory, [(n, t), ...]) — every algorithm family of the paper.
@@ -83,9 +83,9 @@ CELLS: List[Tuple[str, type, tuple, List[Tuple[int, int]]]] = [
 ]
 
 #: The large-``n`` grid past the classic recording (reference is skipped
-#: there — the seed engine needs minutes per run at these sizes).  These are
-#: the cells the sharded backend exists for: the per-level stacks outgrow
-#: one interpreter's cache (the ``n ≥ 16`` regime PERFORMANCE.md flags).
+#: there — the seed engine needs minutes per run at these sizes).  Their
+#: leaf stacks span more than one row block, and they are the cells the
+#: sharded backend is measured on.
 LARGE_CELLS: List[Tuple[str, type, tuple, List[Tuple[int, int]]]] = [
     ("exponential", ExponentialSpec, (), [(15, 4), (16, 5)]),
 ]

@@ -32,11 +32,13 @@ gated on:
    the Exponential ``n=7, t=2`` cell), and with ``REPRO_PERF_STRICT=1`` a
    fresh measurement of the smoke grid must come in under 1.5× its recorded
    fast-engine baseline (opt-in because absolute times are
-   machine-dependent).  When the recording times the **sharded run
+   machine-dependent).  On the recorded large cells (Exponential ``n=15``
+   and ``n=16``) the row-blocked batched executor must not be slower than
+   per-processor numpy.  When the recording times the **sharded run
    executor**, its grid must extend at least two processors past the
    largest single-process Exponential cell, inside the recorded per-cell
-   budget, and must beat the single-process batched engine in the
-   cache-bound ``n ≥ 16`` regime.
+   budget, and must beat the single-process batched engine at ``n ≥ 16``
+   on a recording box with two or more CPUs.
 
 Every numpy assertion auto-skips when numpy is unavailable, so tier-1 stays
 green on bare environments.
@@ -292,6 +294,35 @@ def test_recorded_sharded_backend_extends_the_grid():
                 f"single-process batched engine at n={row['n']} with "
                 f"{report['cpu_count']} CPUs — it lost the cache-bound "
                 f"regime it exists for")
+
+
+def test_recorded_batched_not_slower_than_numpy_at_large_n():
+    """Recorded batched must match per-processor numpy on the large cells.
+
+    At Exponential ``n=15`` and ``n=16`` the leaf stacks span more than one
+    row block; the row-blocked batched kernels must be at least as fast there
+    as the per-processor numpy engine — the condition for retiring that
+    engine tier.
+    """
+    from bench_perf import LARGE_CELLS
+    report = load_recorded_perf()
+    if report is None:
+        pytest.skip("BENCH_perf.json not recorded yet (run benchmarks/bench_perf.py)")
+    engines = report.get("engines", [])
+    if "batched" not in engines or "numpy" not in engines:
+        pytest.skip("recorded BENCH_perf.json does not time both batched and "
+                    "numpy (partial --engine recording or no numpy)")
+    cells = [(label, n, t) for label, _, _, grid in LARGE_CELLS
+             for n, t in grid]
+    assert {n for _, n, _ in cells} >= {15, 16}
+    for label, n, t in cells:
+        row = recorded_perf_row(report, label, n, t)
+        assert row is not None, f"recording lacks the {label} n={n} cell"
+        ratio = row.get("batched_vs_numpy")
+        assert ratio is not None and ratio >= 1, (
+            f"recorded batched executor is {ratio}x per-processor numpy at "
+            f"{label} n={n}, t={t}; row-blocked batched lost the large-n "
+            f"cells")
 
 
 def test_sharded_only_subset_records_no_classic_junk_rows():

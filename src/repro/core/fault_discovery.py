@@ -362,25 +362,29 @@ def batched_window_triggers(child_stacks, parents_size: int, branch: int,
     entries — the batched executor stores whole levels), *child_slots* the
     child level's ``slots_np`` table, *suspect_sets* each participant's
     ``L_p``, and *budgets* the per-participant ``t − |L_p|``.  One
-    ``bincount`` over the ``(participants · parents, branch)`` reshape
-    tallies every window of every participant at once; the unlisted-deviation
-    count is derived from the tallies (``branch − best's tally``) minus a
-    per-suspect-label slot fixup, avoiding any ``(participants, parents,
-    branch)`` temporary.
+    ``bincount`` per row block (:func:`~repro.core.npsupport.row_blocks`)
+    over its ``(block rows · parents, branch)`` reshape tallies every window
+    of those participants at once; the unlisted-deviation count is derived
+    from the tallies (``branch − best's tally``) minus a per-suspect-label
+    slot fixup, avoiding any ``(participants, parents, branch)`` temporary.
     """
-    from .npsupport import require_numpy, window_tallies
+    from .npsupport import require_numpy, row_blocks, window_tallies
     np = require_numpy()
     rows = child_stacks.shape[0]
-    tallies = window_tallies(
-        child_stacks.reshape(rows * parents_size, branch), num_codes)
-    best = tallies.argmax(axis=1)
-    best_count = np.take_along_axis(tallies, best[:, None], axis=1)[:, 0]
-    has_majority = (2 * best_count > branch).reshape(rows, parents_size)
+    best = np.empty((rows, parents_size), dtype=np.intp)
+    best_count = np.empty((rows, parents_size), dtype=np.int64)
+    for start, stop in row_blocks(rows, child_stacks.shape[1]):
+        tallies = window_tallies(
+            child_stacks[start:stop].reshape(-1, branch), num_codes)
+        block_best = tallies.argmax(axis=1)
+        best[start:stop] = block_best.reshape(-1, parents_size)
+        best_count[start:stop] = np.take_along_axis(
+            tallies, block_best[:, None], axis=1).reshape(-1, parents_size)
+    has_majority = 2 * best_count > branch
     # All deviating children first; then subtract each suspect child that
     # deviates from its window's top code (a strict majority is unique, so
     # the argmax tie-break never affects triggering windows).
-    deviating = (branch - best_count).reshape(rows, parents_size)
-    best = best.reshape(rows, parents_size)
+    deviating = branch - best_count
     for row_index, suspects in enumerate(suspect_sets):
         if not suspects:
             continue

@@ -172,9 +172,11 @@ def gather_level_batched(state, level: int, claims, row_of, domain_mask
     echoes are by construction the sender's own row — plus an all-default row
     for missing/suspect senders and one row per distinct faulty message), and
     ``row_of[i, c]`` names the claims row receiver *i* reads for sender label
-    ``c``.  The new level of the entire run is then a single gather
-    ``claims[row_of[:, last_labels], parent_of_slot]`` pushed through the
-    code-level domain mask.
+    ``c``.  The new level of the entire run is then the gather
+    ``claims[row_of[:, last_labels], parent_of_slot]``, filled into one
+    preallocated stack a row block (:func:`~repro.core.npsupport.row_blocks`)
+    at a time.  The code-level domain mask is applied to the small claims
+    matrix up front — exact, because the gather only selects claims.
 
     The uniform domain mask is equivalent to the per-processor paths: echoed
     own values are always in-domain (they passed coercion, masking, or a
@@ -182,13 +184,21 @@ def gather_level_batched(state, level: int, claims, row_of, domain_mask
     out-of-domain claim collapses to the default exactly as the Fault
     Masking / default-substitution rules require.
     """
-    from .npsupport import DEFAULT_CODE, require_numpy
+    from .npsupport import DEFAULT_CODE, require_numpy, row_blocks
     np = require_numpy()
     index = state.index
-    values = claims[row_of[:, index.last_labels_np(level)],
-                    index.parent_ids_np(level)]
-    stack = np.where(domain_mask[values], values, DEFAULT_CODE)
-    state.append_level(stack.astype(claims.dtype, copy=False))
+    flat_claims = np.where(domain_mask[claims], claims,
+                           DEFAULT_CODE).reshape(-1)
+    # Flat claims offset of every (receiver, sender label) pair.
+    row_starts = row_of * claims.shape[1]
+    last_labels = index.last_labels_np(level)
+    parent_ids = index.parent_ids_np(level)
+    stack = np.empty((row_of.shape[0], len(parent_ids)), dtype=claims.dtype)
+    for start, stop in row_blocks(*stack.shape):
+        offsets = np.take(row_starts[start:stop], last_labels, axis=1)
+        offsets += parent_ids
+        np.take(flat_claims, offsets, out=stack[start:stop])
+    state.append_level(stack)
 
 
 def discover_and_mask_batched(state, level: int,

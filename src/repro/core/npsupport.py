@@ -87,6 +87,13 @@ CODE_DTYPE_NAME = "int32"
 #: one place.
 SMALL_KERNEL_ELEMENTS = 512
 
+#: Element budget of one row block of the whole-stack batched kernels
+#: (gather, discovery triggers, conversion votes).  Their int64 temporaries
+#: are a few times the block, so a block this size keeps them cache-sized
+#: where one pass over a whole ``n = 16`` leaf stack would stream tens of
+#: megabytes through memory.  Stacks up to ``n = 13`` fit in one block.
+ROW_BLOCK_ELEMENTS = 1 << 18
+
 
 class ValueCodec:
     """Append-only interning table between protocol values and integer codes."""
@@ -217,6 +224,19 @@ def shard_bounds(count: int, shards: int) -> List[tuple]:
     return bounds
 
 
+def row_blocks(count: int, row_elements: int) -> List[tuple]:
+    """Contiguous ``[start, stop)`` row blocks of a *count*-row stack.
+
+    The :func:`shard_bounds` split of *count* rows of *row_elements* each
+    into the fewest blocks that keep each within :data:`ROW_BLOCK_ELEMENTS`
+    (a row larger than the budget gets a block of its own).  The batched
+    kernels are row-independent, so stepping the blocks in order gives the
+    whole-stack result exactly.
+    """
+    rows_per_block = max(1, ROW_BLOCK_ELEMENTS // max(1, row_elements))
+    return shard_bounds(count, -(-count // rows_per_block))
+
+
 class BatchedEIGState:
     """Stacked level buffers for every participating processor of one run.
 
@@ -224,10 +244,11 @@ class BatchedEIGState:
     level, a single ``(participants, level_size)`` int32 code ndarray — row
     ``i`` is exactly the level buffer participant ``i``'s
     :class:`~repro.core.tree.NumpyEIGTree` would hold at the same point of the
-    execution.  One 2-D kernel per round then steps every correct processor at
-    once: gathering is a single fancy-indexed read over the stacked claims,
-    and resolve / fault discovery reshape the whole stack into one
-    ``(participants · parents, branch)`` vote matrix.
+    execution.  A few 2-D kernels per round then step every correct processor
+    at once: gathering is a fancy-indexed read over the stacked claims, and
+    resolve / fault discovery reshape the stack into a
+    ``(participants · parents, branch)`` vote matrix — each walking the stack
+    in :func:`row_blocks` so their temporaries stay cache-sized at any ``n``.
 
     The aliasing discipline matches the per-processor trees: a level stack may
     be mutated only during the round that appended it (gathering + masking of

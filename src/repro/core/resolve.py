@@ -286,14 +286,15 @@ def batched_resolve_levels(state, conversion: str, t: int):
     *state* is a :class:`~repro.core.npsupport.BatchedEIGState`; every
     participant's tree is converted at once by reshaping each level stack to
     ``(participants · parents, branch)`` and running the shared vote select —
-    one ``bincount`` per level for the entire run.  Returns
+    one ``bincount`` per level and row block
+    (:func:`~repro.core.npsupport.row_blocks`) for the entire run.  Returns
     ``(levels, per_participant_charge)`` where ``levels[ℓ - 1]`` is the
     ``(participants, level_size)`` converted code stack of level ``ℓ`` and the
     charge equals what :func:`numpy_resolve_levels` bills one processor (the
     caller charges each participant's meter).
     """
     from .npsupport import (SMALL_KERNEL_ELEMENTS, VALUE_CODEC,
-                            require_numpy)
+                            require_numpy, row_blocks)
     np = require_numpy()
     if conversion not in ("resolve", "resolve_prime"):
         raise ValueError(f"unknown conversion function {conversion!r}")
@@ -321,10 +322,13 @@ def batched_resolve_levels(state, conversion: str, t: int):
                 _vote_level_python(children.tolist(), size, branch, majority,
                                    threshold), dtype=children.dtype)
             continue
-        windows = children.reshape(count * size, branch)
-        out = _vote_level_select(np, windows, branch, majority, threshold,
-                                 num_codes, children.dtype)
-        levels[level - 1] = out.reshape(count, size)
+        out = np.empty((count, size), dtype=children.dtype)
+        for start, stop in row_blocks(count, children.shape[1]):
+            out[start:stop] = _vote_level_select(
+                np, children[start:stop].reshape(-1, branch), branch,
+                majority, threshold, num_codes,
+                children.dtype).reshape(-1, size)
+        levels[level - 1] = out
     return levels, charge
 
 

@@ -8,9 +8,9 @@ the *same* rounds — so the whole run can be stepped as a single
 ``(rows, nodes)`` ndarray per level (a
 :class:`~repro.core.npsupport.BatchedEIGState`), with one fancy-indexed
 gather, one ``bincount`` discovery kernel, and one ``bincount`` conversion
-kernel per round for the *entire* run.  This amortises the numpy call
-overhead that makes the per-processor ``"numpy"`` engine lose to the
-pure-python ``"fast"`` engine on small levels.
+kernel per round and row block for the *entire* run.  This amortises the
+numpy call overhead that makes the per-processor ``"numpy"`` engine lose to
+the pure-python ``"fast"`` engine on small levels.
 
 The stacked state covers more than the correct processors: the faulty
 processors' *shadows* (the correct machines a
@@ -50,10 +50,13 @@ importable.  ``run_agreement(..., batched=True)`` falls back cleanly to the
 per-processor driver for everything else (Algorithm C, the hybrid, the
 baselines, or a numpy-less environment).
 
-At large ``n`` the level stacks outgrow one interpreter's cache;
-:mod:`repro.runtime.sharding` splits this run's row stack across worker
-processes (the coordinator subclasses :class:`_BatchedRun`, keeping the
-adversary plumbing here authoritative).
+The gather, trigger, and conversion kernels step each level stack in
+contiguous, cache-sized row blocks
+(:func:`~repro.core.npsupport.row_blocks`), so a large-``n`` run never
+builds a temporary over its whole stack.  :mod:`repro.runtime.sharding`
+splits this run's row stack across worker processes to use more than one
+CPU (the coordinator subclasses :class:`_BatchedRun`, keeping the adversary
+plumbing here authoritative).
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 
 The batched executor (:mod:`.batched`) already steps every correct processor
 — and every adversary shadow — of a run as one ``(rows, nodes)`` ndarray per
-level.  At large ``n`` those per-level stacks outgrow one interpreter's cache
-(the ``n ≥ 16`` regime PERFORMANCE.md flags), and one process is the ceiling
-on how much silicon a single run can use.  This module splits the row stack
+level, in cache-sized row blocks — but one process is the ceiling on how
+much silicon a single run can use.  This module splits the row stack
 itself: a **coordinator** keeps the run's control plane — the adversary, the
 shadows' outgoing broadcasts, message metrics, and a mirror of the full
 :class:`~repro.core.npsupport.BatchedEIGState` — while ``k`` **worker

@@ -23,6 +23,8 @@ across all four modes for the same seed (the rng draw order is part of the
 observational contract).
 """
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -267,6 +269,73 @@ BATCHED_SPECS = [
 
 ALL_MODES = ("reference", "fast", "numpy", "batched")
 
+#: Batched specs on an odd row count (``n − 1``), with each cell's leaf row
+#: size: a two-leaf-row block budget splits them unevenly.
+MULTI_BLOCK_SPECS = [
+    ("exponential", ExponentialSpec, 8, 2, 42),
+    ("algorithm-b", lambda: AlgorithmBSpec(2), 10, 2, 72),
+    ("algorithm-a", lambda: AlgorithmASpec(3), 10, 3, 504),
+]
+
+
+@contextmanager
+def forced_row_blocks(rows, leaf_size):
+    """Step the batched kernels in blocks of at most two leaf rows.
+
+    The odd *rows*-row stack then splits into uneven blocks ending in a
+    one-row block, and shallower levels into fewer, larger blocks.  The
+    scalar tiny-level paths are switched off so that the vectorized, blocked
+    kernels run at these small sizes.  Yields the list of block sizes every
+    kernel call stepped (see :func:`stepped_uneven_blocks`).
+    """
+    from repro.core import npsupport
+    seen = []
+    real_row_blocks = npsupport.row_blocks
+
+    def recording_row_blocks(count, row_elements):
+        blocks = real_row_blocks(count, row_elements)
+        seen.append([stop - start for start, stop in blocks])
+        return blocks
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(npsupport, "SMALL_KERNEL_ELEMENTS", 0)
+        patch.setattr(npsupport, "ROW_BLOCK_ELEMENTS", 2 * leaf_size)
+        patch.setattr(npsupport, "row_blocks", recording_row_blocks)
+        leaf_blocks = [stop - start for start, stop
+                       in real_row_blocks(rows, leaf_size)]
+        assert len(leaf_blocks) >= 3 and min(leaf_blocks) == 1
+        assert len(set(leaf_blocks)) == 2
+        yield seen
+
+
+@contextmanager
+def _maybe_forced_row_blocks(forced):
+    """:func:`forced_row_blocks` over *forced* ``(rows, leaf_size)``.
+
+    With *forced* ``None`` the kernels keep the default budget and the
+    yielded block record stays empty.
+    """
+    if forced is None:
+        yield []
+    else:
+        with forced_row_blocks(*forced) as seen:
+            yield seen
+
+
+def stepped_uneven_blocks(seen):
+    """Whether some kernel call stepped ≥ 3 uneven blocks, one a single row."""
+    return any(len(sizes) >= 3 and min(sizes) == 1 and len(set(sizes)) > 1
+               for sizes in seen)
+
+
+def assert_rows_convert_alone(state, batched_levels, conversion, t):
+    """Each row of a whole-run conversion equals its own tree's conversion."""
+    for i in range(state.count):
+        single_levels = numpy_resolve_levels(state.row_tree(i), conversion, t)
+        for level in range(state.num_levels):
+            assert (batched_levels[level][i]
+                    == single_levels[level]).all(), (i, level)
+
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 class TestBatchedRunEquivalence:
@@ -275,11 +344,13 @@ class TestBatchedRunEquivalence:
     _settings = settings(max_examples=10, deadline=None,
                          suppress_health_check=[HealthCheck.too_slow])
 
-    @_settings
-    @given(data=st.data())
-    @pytest.mark.parametrize("label, spec_factory, n, t", BATCHED_SPECS)
-    def test_four_way_observational_identity(self, data, label, spec_factory,
-                                             n, t):
+    @staticmethod
+    def _check_four_way(data, label, spec_factory, n, t, leaf_size=None):
+        """Draw one run and assert every mode matches the reference.
+
+        With *leaf_size*, the batched run steps under
+        :func:`forced_row_blocks` and must really split its stacks.
+        """
         count = data.draw(st.integers(min_value=0, max_value=t))
         faulty = frozenset(data.draw(
             st.sets(st.integers(min_value=0, max_value=n - 1),
@@ -291,8 +362,16 @@ class TestBatchedRunEquivalence:
         results = {
             mode: _run_mode(mode, spec_factory, config, faulty,
                             adversary_registry()[adversary_name](), seed)
-            for mode in ALL_MODES
+            for mode in ALL_MODES[:-1]
         }
+        adversary = adversary_registry()[adversary_name]()
+        forced = None if leaf_size is None else (n - 1, leaf_size)
+        with _maybe_forced_row_blocks(forced) as seen:
+            results["batched"] = _run_mode("batched", spec_factory, config,
+                                           faulty, adversary, seed)
+        if (forced is not None and
+                getattr(adversary, "batched_fallback_reason", None) is None):
+            assert stepped_uneven_blocks(seen), (adversary_name, seen)
         reference = results["reference"]
         for mode in ALL_MODES[1:]:
             candidate = results[mode]
@@ -307,6 +386,41 @@ class TestBatchedRunEquivalence:
                     == reference.metrics.computation_units), context
             assert candidate.metrics.sent == reference.metrics.sent, context
 
+    @staticmethod
+    def _check_random_liar(n, faulty, seed, forced=None):
+        """Assert a seeded random liar runs identically in every mode.
+
+        With *forced* ``(rows, leaf_size)``, the batched run steps under
+        :func:`forced_row_blocks` and must really split its stacks.
+        """
+        from repro.adversary import RandomLiarAdversary
+        config = ProtocolConfig(n=n, t=2, initial_value=1)
+        results = {
+            mode: _run_mode(mode, ExponentialSpec, config, faulty,
+                            RandomLiarAdversary(), seed)
+            for mode in ALL_MODES[:-1]
+        }
+        with _maybe_forced_row_blocks(forced) as seen:
+            results["batched"] = _run_mode("batched", ExponentialSpec,
+                                           config, faulty,
+                                           RandomLiarAdversary(), seed)
+        if forced is not None:
+            assert stepped_uneven_blocks(seen), seen
+        reference = results["reference"]
+        for mode in ALL_MODES[1:]:
+            candidate = results[mode]
+            assert candidate.decisions == reference.decisions, (mode, seed)
+            assert candidate.discovered == reference.discovered, (mode, seed)
+            assert (candidate.discovery_logs
+                    == reference.discovery_logs), (mode, seed)
+
+    @_settings
+    @given(data=st.data())
+    @pytest.mark.parametrize("label, spec_factory, n, t", BATCHED_SPECS)
+    def test_four_way_observational_identity(self, data, label, spec_factory,
+                                             n, t):
+        self._check_four_way(data, label, spec_factory, n, t)
+
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("faulty", [frozenset({5, 6}),
                                         frozenset({0, 6})],
@@ -319,20 +433,41 @@ class TestBatchedRunEquivalence:
         and discovery logs whichever execution mode runs the adversary —
         including the batched path, whose shadows broadcast by reference.
         """
-        from repro.adversary import RandomLiarAdversary
-        config = ProtocolConfig(n=7, t=2, initial_value=1)
-        results = {
-            mode: _run_mode(mode, ExponentialSpec, config, faulty,
-                            RandomLiarAdversary(), seed)
-            for mode in ALL_MODES
-        }
-        reference = results["reference"]
-        for mode in ALL_MODES[1:]:
-            candidate = results[mode]
-            assert candidate.decisions == reference.decisions, (mode, seed)
-            assert candidate.discovered == reference.discovered, (mode, seed)
-            assert (candidate.discovery_logs
-                    == reference.discovery_logs), (mode, seed)
+        self._check_random_liar(7, faulty, seed)
+
+    @_settings
+    @given(data=st.data())
+    @pytest.mark.parametrize("label, spec_factory, n, t, leaf_size",
+                             MULTI_BLOCK_SPECS)
+    def test_four_way_identity_under_forced_row_blocks(self, data, label,
+                                                       spec_factory, n, t,
+                                                       leaf_size):
+        self._check_four_way(data, label, spec_factory, n, t, leaf_size)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("faulty", [frozenset({5, 6}),
+                                        frozenset({0, 6})],
+                             ids=["correct-source", "faulty-source"])
+    def test_random_liar_reproducible_under_forced_row_blocks(self, faulty,
+                                                              seed):
+        self._check_random_liar(8, faulty, seed, forced=(7, 42))
+
+    def test_leaf_level_splits_naturally_at_n15(self):
+        """Exponential n=15, t=4 is the smallest default-budget multi-block
+        run: its 14 × 24024 leaf stack exceeds one block."""
+        from repro.api import RunRequest, execute
+        from repro.core.npsupport import ROW_BLOCK_ELEMENTS, row_blocks
+        assert 14 * 24024 > ROW_BLOCK_ELEMENTS
+        assert len(row_blocks(14, 24024)) >= 2
+        reports = {
+            engine: execute(RunRequest(
+                protocol="exponential", n=15, t=4,
+                scenario="faulty-source-allies", battery="worst-case",
+                seed=5, engine=engine))
+            for engine in ("batched", "numpy")}
+        assert reports["batched"].engine_resolved == "batched"
+        assert (reports["batched"].outcome_dict()
+                == reports["numpy"].outcome_dict())
 
     def test_batched_supported_covers_exactly_the_eig_specs(self):
         from repro.runtime.batched import batched_supported
@@ -388,10 +523,37 @@ class TestBatchedRunEquivalence:
                     for node_id, seq in enumerate(index.sequences(level))
                 }
                 assert tree.level(level) == expected, (i, level)
-            single_levels = numpy_resolve_levels(tree, "resolve", t)
-            for level in range(height):
-                assert (batched_levels[level][i]
-                        == single_levels[level]).all(), (i, level)
+        assert_rows_convert_alone(state, batched_levels, "resolve", t)
+
+    @pytest.mark.parametrize("conversion", ["resolve", "resolve_prime"])
+    def test_forced_row_blocks_convert_each_row_as_its_own_tree(
+            self, conversion):
+        """Every row block votes over its own rows, never a neighbour's.
+
+        Seven distinct random rows (values drawn from a three-value domain)
+        step in blocks of two leaf rows; each converted row must equal the
+        per-processor conversion of that row alone.
+        """
+        from repro.core.npsupport import BatchedEIGState, VALUE_CODEC
+        from repro.core.resolve import batched_resolve_levels
+        from repro.core.sequences import sequence_index
+        import numpy as np
+
+        n, count, height, t = 6, 7, 3, 1
+        index = sequence_index(0, tuple(range(n)), False)
+        rng = np.random.default_rng(11)
+        codes = np.asarray([VALUE_CODEC.code(v) for v in range(3)],
+                           dtype="int32")
+        state = BatchedEIGState(index, count)
+        state.set_roots(rng.choice(codes, size=count))
+        for level in range(2, height + 1):
+            state.append_level(rng.choice(
+                codes, size=(count, index.level_size(level))))
+        with forced_row_blocks(count, index.level_size(height)) as seen:
+            batched_levels, _charge = batched_resolve_levels(
+                state, conversion, t)
+        assert stepped_uneven_blocks(seen), seen
+        assert_rows_convert_alone(state, batched_levels, conversion, t)
 
     def test_batched_flag_falls_back_cleanly_for_unsupported_specs(self):
         """batched=True on a non-EIG spec runs the per-processor driver."""

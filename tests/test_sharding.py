@@ -15,7 +15,7 @@ from repro.core.algorithm_b import AlgorithmBSpec
 from repro.core.engine import numpy_available
 from repro.core.exponential import ExponentialSpec
 from repro.core.hybrid import HybridSpec
-from repro.core.npsupport import shard_bounds
+from repro.core.npsupport import row_blocks, shard_bounds
 from repro.core.protocol import ProtocolConfig
 from repro.runtime.simulation import choose_faulty, run_agreement
 
@@ -97,6 +97,28 @@ def test_seeded_random_liar_reproducible_across_shard_counts():
             _assert_identical(sharded, baseline, (seed, shards))
 
 
+@pytest.mark.parametrize("shards", [1, 2])
+def test_sharded_forced_row_blocks_match_unblocked_batched(shards):
+    """Shards stepping their rows in uneven blocks match one-block batched.
+
+    Exponential n=8 has seven rows; a two-leaf-row budget (with the scalar
+    tiny-level paths off) splits each shard's rows into blocks of at most
+    two.  Fork-started workers inherit the patched budget.
+    """
+    from repro.core import npsupport
+    spec = ExponentialSpec()
+    config = ProtocolConfig(n=8, t=2, initial_value=1)
+    faulty = choose_faulty(8, 2, source_faulty=True)
+    for adversary in ADVERSARIES:
+        batched = _run_batched(spec, config, faulty, adversary, seed=5)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(npsupport, "SMALL_KERNEL_ELEMENTS", 0)
+            patch.setattr(npsupport, "ROW_BLOCK_ELEMENTS", 2 * 42)
+            sharded = _run_sharded(spec, config, faulty, adversary, 5,
+                                   shards=shards)
+        _assert_identical(sharded, batched, (adversary, shards))
+
+
 def test_ineligible_spec_returns_none():
     """Non-EIG specs answer None so callers fall back, adversary unbound."""
     from repro.runtime.sharding import run_sharded_if_supported
@@ -148,3 +170,28 @@ class TestShardBounds:
     def test_degenerate(self):
         assert shard_bounds(0, 4) == []
         assert shard_bounds(4, 0) == []
+
+
+class TestRowBlocks:
+    def test_contiguous_cover_within_budget(self, monkeypatch):
+        from repro.core import npsupport
+        monkeypatch.setattr(npsupport, "ROW_BLOCK_ELEMENTS", 100)
+        for count in range(1, 20):
+            for row_elements in (1, 7, 30, 50, 99, 100, 101, 250):
+                blocks = row_blocks(count, row_elements)
+                assert blocks[0][0] == 0 and blocks[-1][1] == count
+                for (_, stop), (start, _) in zip(blocks, blocks[1:]):
+                    assert stop == start
+                for start, stop in blocks:
+                    assert stop > start
+                    # Over budget only when a single row alone exceeds it.
+                    assert ((stop - start) * row_elements <= 100
+                            or stop - start == 1)
+
+    def test_empty_stack_has_no_blocks(self):
+        assert row_blocks(0, 1000) == []
+
+    def test_stacks_up_to_n13_take_one_block(self):
+        # Exponential n=13, t=4: twelve rows of 11880 leaves.
+        assert row_blocks(12, 11880) == [(0, 12)]
+        assert len(row_blocks(15, 360360)) == 15
