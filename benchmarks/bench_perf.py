@@ -16,8 +16,8 @@ A fourth timeable mode is ``"batched"`` — not a per-processor engine but the
 whole-run executor (``run_agreement(..., batched=True)``): every correct
 processor (and every adversary shadow) steps as one 2-D numpy kernel per
 round.  It is timed only on the cells whose spec it actually accelerates
-(``repro.runtime.batched.batched_supported`` — the EIG specs; Algorithm C,
-the hybrid and the baselines fall back to the per-processor driver).
+(``repro.runtime.batched.batched_supported`` — the EIG specs, Algorithm C
+and the hybrid; the baselines fall back to the per-processor driver).
 
 Running ``python benchmarks/bench_perf.py`` writes ``BENCH_perf.json`` at the
 repository root with per-cell timings and speedups, run metadata
@@ -79,7 +79,7 @@ CELLS: List[Tuple[str, type, tuple, List[Tuple[int, int]]]] = [
     ("algorithm-a(b=3)", AlgorithmASpec, (3,), [(10, 3), (13, 4)]),
     ("algorithm-b(b=2)", AlgorithmBSpec, (2,), [(9, 2), (13, 3)]),
     ("algorithm-c", AlgorithmCSpec, (), [(14, 2), (20, 3)]),
-    ("hybrid(b=3)", HybridSpec, (3,), [(10, 3), (13, 4)]),
+    ("hybrid(b=3)", HybridSpec, (3,), [(10, 3), (13, 4), (16, 5)]),
 ]
 
 #: The large-``n`` grid past the classic recording (reference is skipped

@@ -21,20 +21,20 @@ gated on:
    1.1× numpy there and must be observationally identical to it
    (decisions, discoveries, metrics spot check).
    The façade must reach the right executor: ``engine="auto"`` resolves to
-   batched at the headline cell and to ``fast`` on every recorded
-   Algorithm C and hybrid cell (batched-ineligible runs, where numpy's
-   per-call overhead loses to fast).
+   batched at the headline cell and on every recorded Algorithm C and
+   hybrid cell (their Algorithm C phase steps as row stacks too).
 3. **Recorded baseline** — when ``BENCH_perf.json`` exists, the recording
    itself must show the acceptance-gate speedups (≥ 5× fast-vs-reference on
    the Exponential headline cell, ≥ 2× numpy-vs-fast, and — when the
    recording includes the batched executor — ≥ 1.5× batched-vs-numpy at the
    headline plus no small-level crossover: batched not slower than fast at
-   the Exponential ``n=7, t=2`` cell), and with ``REPRO_PERF_STRICT=1`` a
-   fresh measurement of the smoke grid must come in under 1.5× its recorded
-   fast-engine baseline (opt-in because absolute times are
-   machine-dependent).  On the recorded large cells (Exponential ``n=15``
-   and ``n=16``) the row-blocked batched executor must not be slower than
-   per-processor numpy.  When the recording times the **sharded run
+   the Exponential ``n=7, t=2`` cell, and batched not slower than fast on
+   any recorded Algorithm C or hybrid cell), and with
+   ``REPRO_PERF_STRICT=1`` a fresh measurement of the smoke grid must come
+   in under 1.5× its recorded fast-engine baseline (opt-in because absolute
+   times are machine-dependent).  On the recorded large cells (Exponential
+   ``n=15`` and ``n=16``) the row-blocked batched executor must not be
+   slower than per-processor numpy.  When the recording times the **sharded run
    executor**, its grid must extend at least two processors past the
    largest single-process Exponential cell, inside the recorded per-cell
    budget, and must beat the single-process batched engine at ``n ≥ 16``
@@ -161,31 +161,60 @@ def test_facade_auto_resolves_to_batched_at_headline(monkeypatch):
     assert report.agreement
 
 
-def test_facade_auto_resolves_to_fast_on_recorded_c_and_hybrid_cells(
-        monkeypatch):
-    """``auto`` must not plan C or the hybrid onto per-processor numpy.
-
-    Neither steps as a batched row stack, and on their small trees numpy
-    runs at 0.37–0.67× of ``fast`` in the recording — so the planner's
-    fallback for batched-ineligible runs is ``fast``, proved per recorded
-    cell by the report's run metadata.
-    """
+def _recorded_c_and_hybrid_cells():
+    """The recorded Algorithm C and hybrid cells: ``(label, spec, n, t)``."""
     from bench_perf import CELLS
+    return [(label, spec_cls(*args), n, t)
+            for label, spec_cls, args, grid in CELLS
+            if spec_cls in (AlgorithmCSpec, HybridSpec) for n, t in grid]
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+def test_facade_auto_resolves_to_batched_on_recorded_c_and_hybrid_cells(
+        monkeypatch):
+    """``auto`` must plan C and the hybrid onto the batched executor.
+
+    Their Algorithm C phase steps as row stacks, so every recorded C and
+    hybrid cell — including the hybrid at ``(16, 5)``, where per-processor
+    numpy used to beat fast — resolves to batched, proved per cell by the
+    report's run metadata.
+    """
     monkeypatch.delenv("REPRO_EIG_ENGINE", raising=False)
-    cells = [(spec_cls(*args), n, t) for label, spec_cls, args, grid in CELLS
-             if spec_cls in (AlgorithmCSpec, HybridSpec) for n, t in grid]
-    assert len(cells) == 4
-    for spec, n, t in cells:
+    cells = _recorded_c_and_hybrid_cells()
+    assert len(cells) == 5
+    for _, spec, n, t in cells:
         protocol, params = request_fields_for_spec(spec)
         report = execute(RunRequest(protocol=protocol, protocol_params=params,
                                     n=n, t=t, initial_value=1,
                                     scenario="faulty-source-allies",
                                     battery="worst-case", engine="auto"))
-        assert report.engine_resolved == "fast", (
+        assert report.engine_resolved == "batched", (
             f"auto resolved {spec.name} (n={n}, t={t}) to "
-            f"{report.engine_resolved!r}; batched-ineligible runs belong "
-            f"on the fast engine")
+            f"{report.engine_resolved!r}; C and hybrid runs step as "
+            f"batched row stacks")
         assert report.agreement
+
+
+def test_recorded_batched_not_slower_than_fast_on_c_and_hybrid_cells():
+    """Recorded batched must not lose to fast on any C or hybrid cell.
+
+    ``fast`` is what ``auto`` ran these cells on before they batched, so
+    the batched column has to match or beat it cell by cell.
+    """
+    report = load_recorded_perf()
+    if report is None:
+        pytest.skip("BENCH_perf.json not recorded yet (run benchmarks/bench_perf.py)")
+    engines = report.get("engines", [])
+    if "batched" not in engines or "fast" not in engines:
+        pytest.skip("recorded BENCH_perf.json does not time both batched and "
+                    "fast (partial --engine recording or no numpy)")
+    for label, _, n, t in _recorded_c_and_hybrid_cells():
+        row = recorded_perf_row(report, label, n, t)
+        assert row is not None, f"recording lacks the {label} n={n} cell"
+        ratio = row.get("batched_vs_fast")
+        assert ratio is not None and ratio >= 1, (
+            f"recorded batched executor is {ratio}x the fast engine at "
+            f"{label} n={n}, t={t}; batched C/hybrid lost to fast")
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")

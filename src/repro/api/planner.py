@@ -14,10 +14,10 @@ Resolution rules
 eligible for::
 
     batched  — numpy importable, the spec steps plain EIG machines
-               (Exponential, Algorithms A and B, PSL), and the adversary
-               does not decline the batched path
-    fast     — every other run (Algorithm C, the hybrid, the other
-               baselines, batched-declining adversaries, no numpy)
+               (Exponential, Algorithms A and B, PSL), Algorithm C, or the
+               hybrid, and the adversary does not decline the batched path
+    fast     — every other run (phase-king, dolev-strong,
+               batched-declining adversaries, no numpy)
     numpy    — never chosen automatically without an ambient pin
     reference— never chosen automatically; it exists to be asked for
 
@@ -95,8 +95,8 @@ def batched_ineligibility(spec: "ProtocolSpec", config: "ProtocolConfig",
         return "numpy is not importable"
     from ..runtime.batched import batched_supported
     if not batched_supported(spec, config):
-        return (f"{spec.name} does not build plain shifting-EIG machines "
-                f"(only those step as one row stack)")
+        return (f"{spec.name} builds neither shifting-EIG, Algorithm C, "
+                f"nor hybrid machines (only those step as one row stack)")
     # The batched runner also declines degenerate runs where no correct
     # non-source processor participates; plan the fallback it would take so
     # the report's engine metadata matches what actually executed.
@@ -142,11 +142,12 @@ def plan_run(request: RunRequest, spec: "ProtocolSpec",
             return ExecutionPlan(
                 engine=NUMPY, batched=True, requested=requested,
                 ambient=ambient,
-                reason="auto: EIG spec eligible for whole-run batched "
+                reason="auto: spec eligible for whole-run batched "
                        "stepping")
-        # Most ineligible runs (C, the hybrid) step small trees, where
-        # ndarray overhead makes per-processor numpy lose to fast; only an
-        # ambient pin picks numpy here.
+        # Ineligible runs are the tree-less baselines and batched-declining
+        # adversaries; at the benchmarked sizes the latter step small trees,
+        # where ndarray overhead makes per-processor numpy lose to fast.
+        # Only an ambient pin picks numpy here.
         engine = ambient or FAST
         return ExecutionPlan(
             engine=engine, batched=False, requested=requested,

@@ -82,6 +82,26 @@ def algorithm_c_max_message_entries(n: int) -> int:
     return n
 
 
+def shift_intermediate_codes(leaves, n: int):
+    """``shift_{3→2}`` over reordered level-3 codes: the new level-2 codes.
+
+    *leaves* holds one or more trees' level 3 (``n · n`` codes per tree,
+    any leading shape); window ``i`` of each tree is the ``n`` children of
+    ``(s, i)``.  One ``bincount`` majority vote covers every window of every
+    tree; a window without a strict majority converts to the default.  Shared
+    by the per-processor numpy engine and the batched executor, whose row
+    stacks pass through whole.
+    """
+    from .npsupport import (DEFAULT_CODE, VALUE_CODEC, require_numpy,
+                            strict_majority, vote_windows, window_tallies)
+    np = require_numpy()
+    windows = vote_windows(leaves, leaves.size // n, n)
+    best, has_majority = strict_majority(
+        window_tallies(windows, len(VALUE_CODEC)), n)
+    converted = np.where(has_majority, best, DEFAULT_CODE)
+    return converted.astype(leaves.dtype).reshape(leaves.shape[:-1] + (-1,))
+
+
 class AlgorithmCProcessor(AgreementProtocol):
     """One processor's execution of Algorithm C.
 
@@ -265,19 +285,10 @@ class AlgorithmCProcessor(AgreementProtocol):
         """``shift_{3→2}`` over the code ndarrays: one ``bincount`` majority
         vote over the ``n × n`` leaf matrix replaces the per-vertex windows
         (identical semantics and meter parity with the flat fast path)."""
-        from .npsupport import (DEFAULT_CODE, VALUE_CODEC, require_numpy,
-                                strict_majority, vote_windows, window_tallies)
-        np = require_numpy()
         tree = self.tree
         n = self.config.n
-        leaves = tree.raw_level(3)
-        tallies = window_tallies(vote_windows(leaves, n, n),
-                                 len(VALUE_CODEC))
-        best, has_majority = strict_majority(tallies, n)
-        new_level2 = np.where(has_majority, best,
-                              DEFAULT_CODE).astype(leaves.dtype)
         tree.meter.charge(3 * n * n)
-        tree.replace_level(2, new_level2)
+        tree.replace_level(2, shift_intermediate_codes(tree.raw_level(3), n))
         tree.truncate_to_level(2)
 
     def _finish(self) -> None:

@@ -49,8 +49,8 @@ ENGINES = (FAST, NUMPY, REFERENCE)
 #: processors — but benchmarks and the CLI select it alongside the engines,
 #: so it is named here.  It runs on the ``"numpy"`` storage layer and is
 #: available exactly when that engine is (see :func:`batched_available`);
-#: per-run eligibility (EIG specs only) is decided by
-#: :func:`repro.runtime.batched.batched_supported`.
+#: per-run eligibility (the EIG specs, Algorithm C, and the hybrid) is
+#: decided by :func:`repro.runtime.batched.batched_supported`.
 BATCHED = "batched"
 
 _ENV_VAR = "REPRO_EIG_ENGINE"

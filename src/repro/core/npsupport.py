@@ -243,19 +243,21 @@ class BatchedEIGState:
     The batched run executor (:mod:`repro.runtime.batched`) stores, per tree
     level, a single ``(participants, level_size)`` int32 code ndarray — row
     ``i`` is exactly the level buffer participant ``i``'s
-    :class:`~repro.core.tree.NumpyEIGTree` would hold at the same point of the
-    execution.  A few 2-D kernels per round then step every correct processor
-    at once: gathering is a fancy-indexed read over the stacked claims, and
-    resolve / fault discovery reshape the stack into a
-    ``(participants · parents, branch)`` vote matrix — each walking the stack
-    in :func:`row_blocks` so their temporaries stay cache-sized at any ``n``.
+    :class:`~repro.core.tree.NumpyEIGTree` (or, over a repetition *index*,
+    Algorithm C's :class:`~repro.core.tree.NumpyRepetitionTree`) would hold
+    at the same point of the execution.  A few 2-D kernels per round then
+    step every correct processor at once: gathering is a fancy-indexed read
+    over the stacked claims, and resolve / fault discovery reshape the stack
+    into a ``(participants · parents, branch)`` vote matrix — each walking
+    the stack in :func:`row_blocks` so their temporaries stay cache-sized at
+    any ``n``.
 
     The aliasing discipline matches the per-processor trees: a level stack may
     be mutated only during the round that appended it (gathering + masking of
     freshly discovered senders); every later rewrite (the shift back to a
-    root) installs new arrays, so a row view wrapped by an outgoing
-    :class:`~repro.runtime.messages.NumpyLevelMessage` is immutable from the
-    moment it is broadcast.
+    root, Algorithm C's ``shift_{3→2}``) installs new arrays, so a row view
+    wrapped by an outgoing :class:`~repro.runtime.messages.NumpyLevelMessage`
+    is immutable from the moment it is broadcast.
 
     **Invariant: levels are stored whole.**  Roots come from the coercion
     rule and appended levels from the batched gather (which substitutes the
@@ -302,6 +304,10 @@ class BatchedEIGState:
                 f"level {self.num_levels + 1} stack must have shape "
                 f"{expected}, got {tuple(stack.shape)}")
         self._levels.append(stack)
+
+    def truncate_to_level(self, level: int) -> None:
+        """Drop every level deeper than *level* (part of ``shift_{3→2}``)."""
+        del self._levels[level:]
 
     def row_tree(self, i: int, meter=None):
         """Participant *i*'s state as a standalone :class:`NumpyEIGTree`.

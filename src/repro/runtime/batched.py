@@ -43,12 +43,16 @@ per-processor engines:
   (shadow rows charge throwaway meters — nothing ever reads a shadow's
   units).
 
-Eligibility: :func:`batched_supported` accepts exactly the specs whose
-processors are plain :class:`~repro.core.shifting.ShiftingEIGProcessor`
-machines (the Exponential Algorithm, Algorithms A and B) when numpy is
-importable.  ``run_agreement(..., batched=True)`` falls back cleanly to the
-per-processor driver for everything else (Algorithm C, the hybrid, the
-baselines, or a numpy-less environment).
+Eligibility: :func:`batched_supported` accepts the specs whose processors
+are plain :class:`~repro.core.shifting.ShiftingEIGProcessor` machines (the
+Exponential Algorithm, Algorithms A and B), standalone Algorithm C, and the
+hybrid, when numpy is importable.  A run steps as a plan of phases
+(:class:`_ProbeFacts`): the shift-schedule EIG phase — the whole run, or the
+hybrid's A→B prefix — then, for C and the hybrid, an Algorithm C phase on the
+repetition index (see :meth:`_BatchedRun._c_round`).  ``run_agreement(...,
+batched=True)`` falls back cleanly to the per-processor driver for
+everything else (the baselines, batched-declining adversaries, or a
+numpy-less environment).
 
 The gather, trigger, and conversion kernels step each level stack in
 contiguous, cache-sized row blocks
@@ -65,11 +69,13 @@ from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Mapping,
                     Optional, Set, Tuple)
 
 from ..adversary.base import Adversary, AdversaryContext, ShadowAdversary
+from ..core.algorithm_c import AlgorithmCProcessor, shift_intermediate_codes
 from ..core.engine import NUMPY, numpy_available, use_engine
 from ..core.fault_discovery import (FaultTracker,
                                     discover_during_conversion_batched)
 from ..core.fault_masking import (discover_and_mask_batched,
                                   gather_level_batched)
+from ..core.hybrid import HybridProcessor, hybrid_schedule
 from ..core.resolve import batched_resolve_levels
 from ..core.sequences import ProcessorId, sequence_index
 from ..core.shifting import ShiftingEIGProcessor
@@ -89,8 +95,10 @@ def batched_supported(spec: "ProtocolSpec", config: "ProtocolConfig") -> bool:
 
     True exactly when numpy is importable and *spec* builds plain
     :class:`ShiftingEIGProcessor` machines that decide at the end of their
-    schedule (the Exponential Algorithm, Algorithms A and B).  Probing builds
-    one processor, which is cheap (no rounds are run).
+    schedule (the Exponential Algorithm, Algorithms A and B), standalone
+    :class:`AlgorithmCProcessor` machines, or :class:`HybridProcessor`
+    machines.  Probing builds one processor, which is cheap (no rounds are
+    run).
     """
     if not numpy_available():
         return False
@@ -104,7 +112,18 @@ def batched_supported(spec: "ProtocolSpec", config: "ProtocolConfig") -> bool:
 
 
 class _ProbeFacts:
-    """Everything the batched runner needs from one probe-built processor.
+    """The phase plan the batched runner reads off one probe-built processor.
+
+    Every supported run opens with the shift-schedule EIG phase (round 1
+    stores the roots; *segment_ends* maps each conversion round to its
+    segment).  Algorithm C and the hybrid then switch to an Algorithm C
+    phase from round *c_first_round* on:
+
+    * a decide-at-end :class:`ShiftingEIGProcessor` — EIG only;
+    * a :class:`HybridProcessor` — its A→B schedule (run with
+      ``decide_at_end=False``), then C from the round after the last B
+      conversion, whose roots become the C trees' roots;
+    * a standalone :class:`AlgorithmCProcessor` — round 1 only, then C.
 
     Built fresh per run — caching on the spec object would serve a stale
     schedule if a caller mutated the spec between runs, and building one
@@ -112,15 +131,42 @@ class _ProbeFacts:
     """
 
     __slots__ = ("supported", "total_rounds", "segment_ends",
-                 "enable_fault_discovery")
+                 "enable_fault_discovery", "c_first_round", "c_round_offset",
+                 "handoff_units", "source_units")
 
     def __init__(self, probe) -> None:
-        self.supported = (type(probe) is ShiftingEIGProcessor
-                          and probe.decide_at_end)
-        if self.supported:
+        kind = type(probe)
+        self.supported = True
+        self.enable_fault_discovery = True
+        #: None: no Algorithm C phase.  Otherwise its first (global) round
+        #: and the global − local round offset its messages are stamped with.
+        self.c_first_round: Optional[int] = None
+        self.c_round_offset = 0
+        #: Meter units each participant pays when its C machine starts, and
+        #: the units a correct source ends the run with.
+        self.handoff_units = 0
+        self.source_units = 0
+        if kind is ShiftingEIGProcessor and probe.decide_at_end:
             self.total_rounds = probe.total_rounds
             self.segment_ends = probe.schedule.segment_end_rounds()
             self.enable_fault_discovery = probe.enable_fault_discovery
+        elif kind is HybridProcessor:
+            schedule = hybrid_schedule(probe.params)
+            self.total_rounds = probe.total_rounds
+            self.segment_ends = schedule.segment_end_rounds()
+            self.c_first_round = schedule.total_rounds + 1
+            # The first C-phase round is Algorithm C's local round 2.
+            self.c_round_offset = schedule.total_rounds - 1
+            # The hand-off reads the A→B preferred value and stores it as the
+            # C root; the source's C machine stores its root too.
+            self.handoff_units = 2
+            self.source_units = 1
+        elif kind is AlgorithmCProcessor and probe.first_round == 1:
+            self.total_rounds = probe.total_rounds
+            self.segment_ends = {}
+            self.c_first_round = 2
+        else:
+            self.supported = False
 
 
 def run_batched_if_supported(spec: "ProtocolSpec", config: "ProtocolConfig",
@@ -222,10 +268,10 @@ class _ShadowProcessor:
 
     Implements exactly the protocol surface
     :class:`~repro.adversary.base.ShadowAdversary` uses.  ``outgoing`` wraps
-    the shadow's current leaf row by reference (byte-identical to what a
-    per-processor shadow would broadcast); ``incoming`` is a no-op because
-    the batched runner already steps the shadow rows — it *built* the faulty
-    inboxes the adversary observes.
+    the shadow's current row by reference (:meth:`_BatchedRun.relay_message`,
+    byte-identical to what a per-processor shadow would broadcast);
+    ``incoming`` is a no-op because the batched runner already steps the
+    shadow rows — it *built* the faulty inboxes the adversary observes.
     """
 
     __slots__ = ("runner", "pid", "config", "row")
@@ -252,12 +298,9 @@ class _ShadowProcessor:
                              self.pid, round_number, config.processors)
         if self.pid == config.source:
             return {}
-        state = self.runner.state
-        level = state.num_levels
-        message = NumpyLevelMessage(self.runner.index, level,
-                                    state.row_view(level, self.row),
-                                    self.pid, round_number)
-        return broadcast_message(message, config.processors)
+        return broadcast_message(
+            self.runner.relay_message(self.row, self.pid, round_number),
+            config.processors)
 
     def incoming(self, round_number: int, inbox: Inbox) -> None:
         pass  # the batched runner steps the shadow rows itself
@@ -351,6 +394,10 @@ class _BatchedRun:
         self.total_rounds = probe.total_rounds
         self.segment_ends = probe.segment_ends
         self.enable_fault_discovery = probe.enable_fault_discovery
+        self.c_first_round = probe.c_first_round
+        self.c_round_offset = probe.c_round_offset
+        self.handoff_units = probe.handoff_units
+        self.source_units = probe.source_units
         self.source_correct = config.source not in faulty_set
         self.processor_set = set(config.processors)
         self.n = config.n
@@ -379,6 +426,11 @@ class _BatchedRun:
         from ..core.npsupport import SMALL_KERNEL_ELEMENTS
         self._small_row_of = self.count * self.n <= SMALL_KERNEL_ELEMENTS
         self._row_of_base_py = self._row_of_base.tolist()
+        #: Faulty senders whose messages rows read after round 1: no tree
+        #: level below the root has an s-labelled child, except Algorithm
+        #: C's, which echoes or masks it and never reads the source.
+        self._relays = [pid for pid in sorted(faulty_set)
+                        if pid != config.source]
 
     def domain_mask(self):
         """The code-level domain mask, rebuilt only when the codec grew."""
@@ -405,12 +457,15 @@ class _BatchedRun:
         self.adversary.bind(AdversaryContext(
             config=self.config, spec=_ShadowSpecProxy(self.spec, self),
             faulty=self.faulty, seed=self.seed))
+        c_first_round = self.c_first_round or self.total_rounds + 1
         for round_number in range(1, self.total_rounds + 1):
             self.metrics.record_round(round_number)
             if round_number == 1:
                 self._round_one()
-            else:
+            elif round_number < c_first_round:
                 self._round(round_number)
+            else:
+                self._c_round(round_number)
         return self._build_result()
 
     def _build_result(self) -> "RunResult":
@@ -435,7 +490,7 @@ class _BatchedRun:
             source = self.config.source
             discovered[source] = ()
             discovery_logs[source] = {}
-            self.metrics.record_computation(source, 0)
+            self.metrics.record_computation(source, self.source_units)
             self.metrics.record_discoveries(source, 0)
         for i, pid in enumerate(self.participants):
             suspects, log, units = per_participant[i]
@@ -518,11 +573,124 @@ class _BatchedRun:
             self.metrics.record_messages(round_number, pid, deliveries,
                                          round_entries, round_bits)
 
+    def relay_message(self, row: int, pid: ProcessorId,
+                      round_number: int) -> Message:
+        """Row *row*'s whole-round broadcast, by row reference.
+
+        Exactly what the row's per-processor numpy machine sends: its top
+        level, except that the C phase opens with the root as a one-entry
+        message and then relays level 2.  C-phase messages carry Algorithm
+        C's local round number, as a hybrid's embedded C machine stamps them.
+        """
+        state = self.state
+        if not self.index.allow_repetitions:
+            level = state.num_levels
+            return NumpyLevelMessage(self.index, level,
+                                     state.row_view(level, row), pid,
+                                     round_number)
+        local_round = round_number - self.c_round_offset
+        if state.num_levels == 1:
+            root = self.codec.value(int(state.raw_stack(1)[row, 0]))
+            return Message.single((self.config.source,), root, pid,
+                                  local_round)
+        return NumpyLevelMessage(self.index, 2, state.row_view(2, row), pid,
+                                 local_round)
+
     def _round(self, round_number: int) -> None:
+        messages = self._round_broadcasts(round_number, self.state.num_levels)
+        faulty_outboxes = self._gather_round(round_number, messages)
+        segment = self.segment_ends.get(round_number)
+        if segment is not None:
+            self._convert(round_number, segment)
+        self._observe_delivery(round_number, messages, faulty_outboxes)
+        self._corrupt(round_number)
+
+    def _c_round(self, round_number: int) -> None:
+        """One Algorithm C round over every row.
+
+        The first C round hands each row's root to a repetition-index state
+        and gathers the intermediate level ``(s, q)`` from root broadcasts.
+        Every later round gathers the ``n · n`` leaves from the level-2
+        broadcasts, runs the Fault Discovery/Masking fixpoint, and applies
+        ``shift_{3→2}``; the last round decides ``resolve(s)``.
+        """
+        if round_number == self.c_first_round:
+            self._enter_c_phase()
+        messages: Dict[ProcessorId, Optional[Message]] = {
+            pid: None for pid in self.correct}
+        for i, pid in enumerate(self.participants):
+            messages[pid] = self.relay_message(i, pid, round_number)
+        faulty_outboxes = self._gather_round(round_number, messages)
+        if self.state.num_levels == 3:
+            self._shift_intermediate()
+        if round_number == self.total_rounds:
+            self._decide_c()
+        self._observe_delivery(round_number, messages, faulty_outboxes)
+        self._corrupt(round_number)
+
+    def _enter_c_phase(self) -> None:
+        """Hand every row's root to an Algorithm C tree (repetition index)."""
+        from ..core.npsupport import BatchedEIGState
+        roots = self.state.raw_stack(1)[:, 0]
+        config = self.config
+        self.index = sequence_index(config.source, config.processors, True)
+        self.state = BatchedEIGState(self.index, self.count)
+        self.state.set_roots(roots)
+        # Silent-source substitution: every s-labelled child reads the row's
+        # own stored value, like its own label, until s ∈ L_p sends it to the
+        # default row.
+        self._row_of_base[:, config.source] = self._row_indices
+        self._row_of_base_py = self._row_of_base.tolist()
+        for i in range(self.main_count):
+            # The hand-off, plus the root read of the first C broadcast.
+            self.meters[i].charge(self.handoff_units + 1)
+
+    def _shift_intermediate(self) -> None:
+        """Reorder every row's leaves and apply ``shift_{3→2}``.
+
+        After ``tree(spq) ↔ tree(sqp)`` — a per-row ``n × n`` transpose — the
+        window under ``(s, q)`` holds ``q``'s reports, and the shared vote
+        kernel converts every window of every row at once.  Each row is
+        charged what its per-processor machine pays: ``n²`` for the reorder,
+        ``3n²`` plus ``n`` stores for the shift, and the ``resolve(s)`` of
+        its preferred-value log.
+        """
+        n = self.n
+        leaves = self.state.raw_stack(3)
+        reordered = leaves.reshape(self.count, n, n).transpose(0, 2, 1)
+        level2 = shift_intermediate_codes(
+            reordered.reshape(self.count, n * n), n)
+        self.state.truncate_to_level(1)
+        self.state.append_level(level2)
+        # resolve(s) over the two-level tree: two units per leaf, one per
+        # child of the root.
+        preference = 3 * n
+        charge = 4 * n * n + n + preference
+        for i in range(self.main_count):
+            self.meters[i].charge(charge)
+
+    def _decide_c(self) -> None:
+        """``shift_{2→1}``: every row decides ``resolve(s)``."""
+        levels, charge = batched_resolve_levels(self.state, "resolve",
+                                                self.config.t)
+        roots = levels[0][:, 0]
+        for i in range(self.main_count):
+            self.meters[i].charge(charge + 1)  # + reset_to_root's store
+            self.decisions[self.participants[i]] = self.codec.value(
+                int(roots[i]))
+
+    def _gather_round(self, round_number: int,
+                      messages: Dict[ProcessorId, Optional[Message]]
+                      ) -> Dict[ProcessorId, Outbox]:
+        """Deliver one round into every row; returns the faulty outboxes.
+
+        Collects the adversary's messages against the correct *messages*,
+        records the round's message metrics, gathers the new level, and runs
+        the Fault Discovery/Masking fixpoint over it.
+        """
         np = self.np
         prev_level = self.state.num_levels
         prev_size = self.index.level_size(prev_level)
-        messages = self._round_broadcasts(round_number, prev_level)
         table = _BroadcastTable(messages, self.config.processors)
         faulty_outboxes = self._faulty_outboxes(round_number, table)
         self._record_round_messages(round_number, prev_level, prev_size)
@@ -559,7 +727,7 @@ class _BatchedRun:
                 self._row_indices)
         extra_rows: List[object] = []
         row_cache: Dict[int, int] = {}
-        for sender in sorted(self.faulty):
+        for sender in self._relays:
             outbox = faulty_outboxes.get(sender)
             if not outbox:
                 continue
@@ -597,6 +765,13 @@ class _BatchedRun:
             # slots — the exact gather_level_numpy charges.
             self.meters[i].charge(level_size
                                   + len(slots_table[self.row_pids[i]][0]))
+        if self.index.allow_repetitions:
+            # Algorithm C's silent-source substitution echoes too.
+            source = self.config.source
+            echoed = len(slots_table[source][0])
+            for i in range(self.main_count):
+                if source not in self.trackers[i]:
+                    self.meters[i].charge(echoed)
 
         if self.enable_fault_discovery:
             newly = discover_and_mask_batched(self.state, level,
@@ -607,12 +782,7 @@ class _BatchedRun:
                     log = self.discovery_logs[i]
                     log[round_number] = (log.get(round_number, 0)
                                         + len(newly[i]))
-
-        segment = self.segment_ends.get(round_number)
-        if segment is not None:
-            self._convert(round_number, segment)
-        self._observe_delivery(round_number, messages, faulty_outboxes)
-        self._corrupt(round_number)
+        return faulty_outboxes
 
     def _corrupt(self, round_number: int) -> None:
         """Run the adversary's state-corruption hook over the main rows.
@@ -624,6 +794,11 @@ class _BatchedRun:
         not exposed).
         """
         if not self._corrupting:
+            return
+        if self.c_first_round is not None:
+            # C and hybrid machines expose no corruption surface
+            # (tree_state_views), so the hook sees no views.
+            self.adversary.corrupt_state(round_number, {})
             return
         from .corruption import BatchedRowStateView
         level = self.state.num_levels

@@ -128,10 +128,11 @@ def tree_state_views(processors: Dict[ProcessorId, "AgreementProtocol"],
     """Views over the correct non-source EIG participants of one round.
 
     Only processors of the exact EIG shifting class expose corruption
-    surface — the same family the batched driver accelerates — so the view
+    surface, and the batched driver exposes the same rows, so the view
     population is identical across all four execution modes.  Protocols
-    outside the family (Algorithm C, the hybrid, the baselines) present no
-    views and transient corruption degrades to a no-op for them.
+    outside the class (Algorithm C, the hybrid, the baselines) present no
+    views in either driver, and transient corruption degrades to a no-op for
+    them.
     """
     from ..core.shifting import ShiftingEIGProcessor
     views: Dict[ProcessorId, TreeStateView] = {}

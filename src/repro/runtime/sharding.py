@@ -37,11 +37,13 @@ The property tests in ``tests/test_sharding.py`` pin decisions, discoveries,
 discovery logs, per-round message stats, computation units, and seeded-liar
 reproducibility against the batched engine at small ``n``.
 
-Eligibility is the batched executor's (plain
-:class:`~repro.core.shifting.ShiftingEIGProcessor` specs, numpy importable);
-:func:`run_sharded_if_supported` answers ``None`` for everything else, and
-degenerate splits (one shard, fewer rows than shards, platforms that cannot
-spawn processes) fall back to the single-process batched run.
+Eligibility is the batched executor's (numpy importable; plain
+:class:`~repro.core.shifting.ShiftingEIGProcessor` specs, Algorithm C, and
+the hybrid); :func:`run_sharded_if_supported` answers ``None`` for
+everything else.  Only the EIG-only runs are split: Algorithm C and hybrid
+runs, corruption-hook adversaries, and degenerate splits (one shard, fewer
+rows than shards, platforms that cannot spawn processes) take the
+single-process batched run.
 """
 
 from __future__ import annotations
@@ -114,11 +116,13 @@ def run_sharded_if_supported(spec, config, faulty_set, adversary, seed: int,
     if not participants:
         return None
     from .corruption import corruption_enabled
-    if corruption_enabled(adversary):
+    if corruption_enabled(adversary) or probe.c_first_round is not None:
         # State corruption edits rows in place; the sharded workers own their
         # row blocks while the coordinator keeps a mirror stack, so in-place
-        # edits would desync them.  The single-process batched run honours
-        # the hook and is observationally identical.
+        # edits would desync them.  An Algorithm C phase (C, the hybrid)
+        # steps kernels the shard protocol does not ship, over stacks of at
+        # most n·n codes a row.  The single-process batched run is
+        # observationally identical.
         with use_engine(NUMPY):
             return _BatchedRun(spec, config, faulty_set, adversary, seed,
                                probe, correct, participants).run()

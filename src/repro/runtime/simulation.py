@@ -142,9 +142,10 @@ def run_agreement(spec: ProtocolSpec, config: ProtocolConfig,
         When ``True``, execute all correct processors' rounds as whole-run
         2-D numpy kernels (:mod:`repro.runtime.batched`) instead of stepping
         ``n − t`` per-processor state machines.  Observationally identical to
-        the per-processor engines; falls back cleanly to the per-processor
-        driver for non-EIG specs (Algorithm C, the hybrid, the baselines) or
-        when numpy is unavailable.
+        the per-processor engines; covers the EIG specs, Algorithm C, and the
+        hybrid, and falls back cleanly to the per-processor driver for the
+        baselines, batched-declining adversaries, or when numpy is
+        unavailable.
     """
     spec.validate(config)
     faulty_set = frozenset(faulty)

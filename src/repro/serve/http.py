@@ -301,10 +301,12 @@ class HttpFrontend:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length") or 0)
-        except ValueError:
+        # RFC 9110: Content-Length = 1*DIGIT.  int() alone would accept a
+        # sign, and a negative length then fails inside readexactly().
+        raw_length = headers.get("content-length") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
             return None, (400, "unreadable Content-Length")
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             return None, (413, f"request body exceeds {MAX_BODY_BYTES} bytes")
         body = b""

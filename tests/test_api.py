@@ -217,9 +217,11 @@ class TestPlanner:
 
     @pytest.mark.skipif(not engine_module.batched_available(),
                         reason="numpy not installed")
-    def test_auto_resolves_to_batched_for_eig_specs(self):
-        # psl is OM(m) on the same shifting-EIG machine, so it batches too.
-        for protocol in ("exponential", "algorithm-a", "algorithm-b", "psl"):
+    def test_auto_resolves_to_batched_for_eligible_specs(self):
+        # psl is OM(m) on the same shifting-EIG machine, so it batches too;
+        # C and the hybrid step an Algorithm C phase as row stacks.
+        for protocol in ("exponential", "algorithm-a", "algorithm-b", "psl",
+                         "algorithm-c", "hybrid"):
             plan = plan_request(small_request(protocol))
             assert plan.resolved == "batched", protocol
             report = execute(small_request(protocol))
@@ -228,10 +230,9 @@ class TestPlanner:
     @pytest.mark.skipif(not engine_module.numpy_available(),
                         reason="numpy not installed")
     def test_auto_falls_back_to_fast_for_ineligible_specs(self):
-        # Small trees and short phases are where per-processor numpy loses
-        # to fast, so batched-ineligible runs plan onto fast even with numpy.
-        for protocol in ("algorithm-c", "hybrid", "phase-king",
-                         "dolev-strong"):
+        # Batched-ineligible runs plan onto fast even with numpy: most step
+        # small per-processor state, where numpy's per-call overhead loses.
+        for protocol in ("phase-king", "dolev-strong"):
             plan = plan_request(small_request(protocol))
             assert plan.resolved == "fast", protocol
             assert not plan.batched, protocol
@@ -257,11 +258,11 @@ class TestPlanner:
             engine_module.set_default_engine("numpy")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # deference must not warn
-            hybrid = execute(small_request("hybrid"))
+            phase_king = execute(small_request("phase-king"))
             exponential = execute(small_request("exponential"))
             crash = plan_request(small_request(
                 "exponential", adversary="crash-recovery"))
-        assert hybrid.engine_resolved == "numpy"
+        assert phase_king.engine_resolved == "numpy"
         assert exponential.engine_resolved == "batched"
         assert crash.resolved == "numpy"
 
@@ -315,7 +316,7 @@ class TestPlanner:
                         reason="numpy not installed")
     def test_explicit_batched_degrades_with_warning_when_unsupported(self):
         with pytest.warns(RuntimeWarning, match="not supported.*'fast'"):
-            report = execute(small_request("hybrid", engine="batched"))
+            report = execute(small_request("dolev-strong", engine="batched"))
         assert report.engine_resolved == "fast"
         assert report.agreement
 

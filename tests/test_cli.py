@@ -130,11 +130,11 @@ class TestEngineFlag:
                         reason="numpy not installed")
     def test_run_batched_falls_back_for_unsupported_spec(self, capsys):
         with pytest.warns(RuntimeWarning, match="not supported"):
-            code = main(["run", "--protocol", "hybrid", "--n", "10", "--t", "3",
-                         "--b", "3", "--adversary", "stealth-path",
+            code = main(["run", "--protocol", "phase-king", "--n", "9",
+                         "--t", "2", "--adversary", "stealth-path",
                          "--engine", "batched"])
         assert code == 0
-        assert "hybrid(b=3)" in capsys.readouterr().out
+        assert "phase-king" in capsys.readouterr().out
 
     def test_run_rejects_unregistered_numpy_engine(self, monkeypatch, capsys):
         monkeypatch.setattr(engine_module, "numpy_available", lambda: False)
@@ -390,8 +390,8 @@ class TestValidateCommand:
         payload = [
             {"protocol": "exponential", "n": 7, "t": 2, "initial_value": 1,
              "scenario": "faulty-source-allies", "battery": "worst-case"},
-            {"protocol": "algorithm-c", "n": 14, "t": 2, "initial_value": 1,
-             "faulty": [12, 13], "adversary": "stealth-path",
+            {"protocol": "phase-king", "n": 9, "t": 2, "initial_value": 1,
+             "faulty": [7, 8], "adversary": "stealth-path",
              "engine": "fast"},
         ]
         path = tmp_path / "requests.json"
@@ -418,11 +418,11 @@ class TestValidateCommand:
             eligible = row["batched"] == "eligible"
             assert row["resolved"] == ("batched" if eligible else "fast"), row
             by_protocol.setdefault(row["protocol"], set()).add(row["resolved"])
-        for protocol in ("algorithm-c", "hybrid", "phase-king",
-                         "dolev-strong"):
+        for protocol in ("phase-king", "dolev-strong"):
             assert by_protocol[protocol] == {"fast"}, protocol
         if engine_module.batched_available():
-            assert "batched" in by_protocol["exponential"]
+            for protocol in ("exponential", "algorithm-c", "hybrid"):
+                assert "batched" in by_protocol[protocol], protocol
 
     def test_validate_flags_invalid_requests(self, tmp_path, capsys):
         payload = [

@@ -141,8 +141,8 @@ class TestShardedExecutor:
         assert report.agreement
 
     def test_ineligible_request_falls_back_to_planner_path(self):
-        request = RunRequest(protocol="hybrid", protocol_params={"b": 3},
-                             n=10, t=3, initial_value=1,
+        request = RunRequest(protocol="phase-king", n=9, t=2,
+                             initial_value=1,
                              scenario="faulty-source-allies",
                              battery="worst-case")
         with ShardedRunExecutor(shards=2) as executor:

@@ -15,12 +15,12 @@ is not installed.
 
 The batched whole-run executor (``run_agreement(..., batched=True)``, see
 :mod:`repro.runtime.batched`) joins the end-to-end comparisons as a fourth
-mode: the EIG specs it accelerates are pinned four ways
-(reference/fast/numpy/batched, including per-round message stats and
-per-processor computation units), the specs it does not support are pinned to
-fall back cleanly, and the random-liar adversary must stay byte-identical
-across all four modes for the same seed (the rng draw order is part of the
-observational contract).
+mode: the specs it accelerates — the EIG specs, Algorithm C, and the hybrid
+— are pinned four ways (reference/fast/numpy/batched, including per-round
+message stats and per-processor computation units), the specs it does not
+support are pinned to fall back cleanly, and the random-liar adversary must
+stay byte-identical across all four modes for the same seed (the rng draw
+order is part of the observational contract).
 """
 
 from contextlib import contextmanager
@@ -259,22 +259,35 @@ class TestEndToEndEngineEquivalence:
                                  adversary_name, value, seed)
 
 
-#: The EIG specs the batched whole-run executor accelerates, with the same
+#: The specs the batched whole-run executor accelerates, with the same
 #: (n, t) cells the per-engine e2e tests use.
 BATCHED_SPECS = [
     ("exponential", ExponentialSpec, 7, 2),
     ("algorithm-b", lambda: AlgorithmBSpec(2), 9, 2),
     ("algorithm-a", lambda: AlgorithmASpec(3), 10, 3),
+    ("hybrid", lambda: HybridSpec(3), 10, 3),
+    ("algorithm-c", AlgorithmCSpec, 14, 2),
+]
+
+#: Seeded random-liar cells that run an Algorithm C phase: (label, spec
+#: factory, n, t, faulty sets with a correct and with a faulty source).
+C_PHASE_RANDOM_LIAR_SPECS = [
+    ("hybrid", lambda: HybridSpec(3), 10, 3,
+     [frozenset({7, 8, 9}), frozenset({0, 8, 9})]),
+    ("algorithm-c", AlgorithmCSpec, 14, 2,
+     [frozenset({12, 13}), frozenset({0, 13})]),
 ]
 
 ALL_MODES = ("reference", "fast", "numpy", "batched")
 
 #: Batched specs on an odd row count (``n − 1``), with each cell's leaf row
-#: size: a two-leaf-row block budget splits them unevenly.
+#: size: a two-leaf-row block budget splits them unevenly.  The hybrid's
+#: widest level is its Algorithm C leaf level (``n · n``).
 MULTI_BLOCK_SPECS = [
     ("exponential", ExponentialSpec, 8, 2, 42),
     ("algorithm-b", lambda: AlgorithmBSpec(2), 10, 2, 72),
     ("algorithm-a", lambda: AlgorithmASpec(3), 10, 3, 504),
+    ("hybrid", lambda: HybridSpec(3), 10, 3, 100),
 ]
 
 
@@ -387,21 +400,22 @@ class TestBatchedRunEquivalence:
             assert candidate.metrics.sent == reference.metrics.sent, context
 
     @staticmethod
-    def _check_random_liar(n, faulty, seed, forced=None):
+    def _check_random_liar(n, faulty, seed, forced=None,
+                           spec_factory=ExponentialSpec, t=2):
         """Assert a seeded random liar runs identically in every mode.
 
         With *forced* ``(rows, leaf_size)``, the batched run steps under
         :func:`forced_row_blocks` and must really split its stacks.
         """
         from repro.adversary import RandomLiarAdversary
-        config = ProtocolConfig(n=n, t=2, initial_value=1)
+        config = ProtocolConfig(n=n, t=t, initial_value=1)
         results = {
-            mode: _run_mode(mode, ExponentialSpec, config, faulty,
+            mode: _run_mode(mode, spec_factory, config, faulty,
                             RandomLiarAdversary(), seed)
             for mode in ALL_MODES[:-1]
         }
         with _maybe_forced_row_blocks(forced) as seen:
-            results["batched"] = _run_mode("batched", ExponentialSpec,
+            results["batched"] = _run_mode("batched", spec_factory,
                                            config, faulty,
                                            RandomLiarAdversary(), seed)
         if forced is not None:
@@ -434,6 +448,17 @@ class TestBatchedRunEquivalence:
         including the batched path, whose shadows broadcast by reference.
         """
         self._check_random_liar(7, faulty, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("label, spec_factory, n, t, faulty_sets",
+                             C_PHASE_RANDOM_LIAR_SPECS)
+    def test_random_liar_is_seed_reproducible_for_c_and_hybrid(
+            self, label, spec_factory, n, t, faulty_sets, seed):
+        """The same contract through the batched Algorithm C phase, whose
+        shadows open with dict root broadcasts and then relay level 2."""
+        for faulty in faulty_sets:
+            self._check_random_liar(n, faulty, seed,
+                                    spec_factory=spec_factory, t=t)
 
     @_settings
     @given(data=st.data())
@@ -469,7 +494,9 @@ class TestBatchedRunEquivalence:
         assert (reports["batched"].outcome_dict()
                 == reports["numpy"].outcome_dict())
 
-    def test_batched_supported_covers_exactly_the_eig_specs(self):
+    def test_batched_supported_covers_exactly_eig_c_and_hybrid(self):
+        from repro.baselines.dolev_strong import DolevStrongSpec
+        from repro.baselines.phase_king import PhaseKingSpec
         from repro.runtime.batched import batched_supported
         assert batched_supported(ExponentialSpec(),
                                  ProtocolConfig(n=7, t=2))
@@ -477,10 +504,14 @@ class TestBatchedRunEquivalence:
                                  ProtocolConfig(n=10, t=3))
         assert batched_supported(AlgorithmBSpec(2),
                                  ProtocolConfig(n=9, t=2))
-        assert not batched_supported(HybridSpec(3),
-                                     ProtocolConfig(n=10, t=3))
-        assert not batched_supported(AlgorithmCSpec(),
-                                     ProtocolConfig(n=14, t=2))
+        assert batched_supported(HybridSpec(3),
+                                 ProtocolConfig(n=10, t=3))
+        assert batched_supported(AlgorithmCSpec(),
+                                 ProtocolConfig(n=14, t=2))
+        assert not batched_supported(PhaseKingSpec(),
+                                     ProtocolConfig(n=9, t=2))
+        assert not batched_supported(DolevStrongSpec(),
+                                     ProtocolConfig(n=7, t=2))
 
     def test_row_tree_bridges_batched_state_to_per_processor_kernels(self):
         """BatchedEIGState.row_tree / NumpyEIGTree.adopt_levels round-trip.
@@ -556,14 +587,15 @@ class TestBatchedRunEquivalence:
         assert_rows_convert_alone(state, batched_levels, conversion, t)
 
     def test_batched_flag_falls_back_cleanly_for_unsupported_specs(self):
-        """batched=True on a non-EIG spec runs the per-processor driver."""
-        config = ProtocolConfig(n=14, t=2, initial_value=1)
-        faulty = frozenset({12, 13})
+        """batched=True on a baseline spec runs the per-processor driver."""
+        from repro.baselines.phase_king import PhaseKingSpec
+        config = ProtocolConfig(n=9, t=2, initial_value=1)
+        faulty = frozenset({7, 8})
         with use_engine("numpy"):
-            batched = run_agreement(AlgorithmCSpec(), config, faulty,
+            batched = run_agreement(PhaseKingSpec(), config, faulty,
                                     adversary_registry()["two-faced"](),
                                     batched=True)
-        reference = _run_mode("reference", AlgorithmCSpec, config, faulty,
+        reference = _run_mode("reference", PhaseKingSpec, config, faulty,
                               adversary_registry()["two-faced"](), 0)
         assert batched.decisions == reference.decisions
         assert batched.metrics.summary() == reference.metrics.summary()

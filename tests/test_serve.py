@@ -500,6 +500,25 @@ class TestHttpFrontend:
         assert response.status == 400
         conn.close()
 
+    @pytest.mark.parametrize("length", ["-5", "+7", "0x10", "1e3", "\u00b2"])
+    def test_malformed_content_length_is_400(self, frontend, length):
+        """Content-Length is ``1*DIGIT``: a sign, a non-digit, or a non-ASCII
+        digit is answered with a 400, never an empty reply."""
+        import socket
+        head = (f"POST /run HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                f"Content-Length: {length}\r\n\r\n{{}}")
+        with socket.create_connection(("127.0.0.1", frontend.port),
+                                      timeout=30) as sock:
+            sock.sendall(head.encode("latin-1"))
+            reply = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 "), reply[:80]
+        assert b"unreadable Content-Length" in reply
+
     def test_unknown_route_404_wrong_method_405(self, frontend):
         assert _http(frontend.port, "GET", "/nope")[0] == 404
         assert _http(frontend.port, "GET", "/run")[0] == 405

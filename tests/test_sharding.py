@@ -10,8 +10,10 @@ at small ``n``, across shard counts and faulty-source configurations.
 import pytest
 
 from repro.api import build_adversary
+from repro.baselines.phase_king import PhaseKingSpec
 from repro.core.algorithm_a import AlgorithmASpec
 from repro.core.algorithm_b import AlgorithmBSpec
+from repro.core.algorithm_c import AlgorithmCSpec
 from repro.core.engine import numpy_available
 from repro.core.exponential import ExponentialSpec
 from repro.core.hybrid import HybridSpec
@@ -120,17 +122,43 @@ def test_sharded_forced_row_blocks_match_unblocked_batched(shards):
 
 
 def test_ineligible_spec_returns_none():
-    """Non-EIG specs answer None so callers fall back, adversary unbound."""
+    """Batched-ineligible specs answer None so callers fall back, adversary
+    unbound."""
     from repro.runtime.sharding import run_sharded_if_supported
-    config = ProtocolConfig(n=10, t=3, initial_value=1)
+    config = ProtocolConfig(n=9, t=2, initial_value=1)
     adversary = build_adversary("silent")
-    assert run_sharded_if_supported(HybridSpec(3), config,
-                                    choose_faulty(10, 3), adversary,
+    assert run_sharded_if_supported(PhaseKingSpec(), config,
+                                    choose_faulty(9, 2), adversary,
                                     0, shards=2) is None
     # The adversary was not bound: it can still be used by the fallback.
-    result = run_agreement(HybridSpec(3), config, choose_faulty(10, 3),
+    result = run_agreement(PhaseKingSpec(), config, choose_faulty(9, 2),
                            adversary)
     assert result.agreement
+
+
+@pytest.mark.parametrize("spec_fn, n, t", [(lambda: HybridSpec(3), 10, 3),
+                                           (AlgorithmCSpec, 14, 2)],
+                         ids=["hybrid", "algorithm-c"])
+def test_c_and_hybrid_run_single_process_batched(spec_fn, n, t, monkeypatch):
+    """An Algorithm C phase keeps the run in one process: the sharded
+    backend returns the single-process batched run and spawns no worker."""
+    from repro.runtime import sharding
+
+    def no_workers(*args, **kwargs):
+        raise AssertionError("a C or hybrid run started shard workers")
+
+    monkeypatch.setattr(sharding._ShardedRun, "start_workers", no_workers)
+    config = ProtocolConfig(n=n, t=t, initial_value=1)
+    for source_faulty in (False, True):
+        faulty = choose_faulty(n, t, source_faulty=source_faulty)
+        for adversary in ("equivocating-source-allies", "random-liar"):
+            batched = _run_batched(spec_fn(), config, faulty, adversary, 4)
+            sharded = _run_sharded(spec_fn(), config, faulty, adversary, 4,
+                                   shards=2)
+            _assert_identical(sharded, batched,
+                              (adversary, source_faulty))
+            assert (sharded.metrics.computation_units
+                    == batched.metrics.computation_units)
 
 
 def test_no_correct_participant_returns_none():
@@ -145,7 +173,7 @@ def test_no_correct_participant_returns_none():
 def test_shard_supported_mirrors_batched_support():
     from repro.runtime.batched import batched_supported
     from repro.runtime.sharding import shard_supported
-    for spec, n, t in [(ExponentialSpec(), 7, 2), (HybridSpec(3), 10, 3),
+    for spec, n, t in [(ExponentialSpec(), 7, 2), (PhaseKingSpec(), 9, 2),
                        (AlgorithmBSpec(2), 9, 2)]:
         config = ProtocolConfig(n=n, t=t, initial_value=1)
         assert shard_supported(spec, config) == batched_supported(spec,
