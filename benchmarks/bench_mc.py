@@ -4,8 +4,8 @@ The acceptance claim of ``repro mc`` is scale: a 10⁵–10⁶-trial campaign in
 flat memory.  The number that decides how long that takes is **runs per
 second**, so this benchmark streams the same seeded campaign — the
 headline cell, Exponential at ``n=13, t=4`` under the two-faced adversary
-with randomized fault placement — through the serial, pool, and sharded
-executors and records each backend's throughput.
+with randomized fault placement — through the serial and pool executors
+and records each backend's throughput.
 
 Running ``python benchmarks/bench_mc.py`` merges an ``"mc"`` section into
 ``BENCH_perf.json`` (every other section — the engine table, the serve
@@ -25,7 +25,7 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 #: The acceptance-criterion cell, matching bench_perf's headline.
 HEADLINE = ("exponential", 13, 4)
 
-#: Trials per backend: enough to amortize pool/sharded worker spawn, small
+#: Trials per backend: enough to amortize pool worker spawn, small
 #: enough that the whole benchmark stays under a couple of minutes.
 TRIALS = 2000
 CHUNK_SIZE = 250
@@ -33,7 +33,6 @@ CHUNK_SIZE = 250
 BACKENDS = (
     ("serial", {}),
     ("pool", {}),
-    ("sharded", {}),
 )
 
 

@@ -64,15 +64,6 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 #: largest (n, t) the seed engine handles in around a second.
 HEADLINE = ("exponential", 13, 4)
 
-#: The sharded run executor, timed as a fifth mode on the large-``n`` cells.
-SHARDED = "sharded"
-
-#: Shard count the recording uses: one worker per CPU of a two-CPU box.
-#: The batched kernels already step cache-sized row blocks, so sharding can
-#: win only by parallel compute; more shards than cores just add
-#: claims-shipping cost.
-SHARDED_SHARDS = 2
-
 #: (label, spec factory, [(n, t), ...]) — every algorithm family of the paper.
 CELLS: List[Tuple[str, type, tuple, List[Tuple[int, int]]]] = [
     ("exponential", ExponentialSpec, (), [(7, 2), (10, 3), (13, 4)]),
@@ -84,14 +75,13 @@ CELLS: List[Tuple[str, type, tuple, List[Tuple[int, int]]]] = [
 
 #: The large-``n`` grid past the classic recording (reference is skipped
 #: there — the seed engine needs minutes per run at these sizes).  Their
-#: leaf stacks span more than one row block, and they are the cells the
-#: sharded backend is measured on.
+#: level stacks span more than one row block.
 LARGE_CELLS: List[Tuple[str, type, tuple, List[Tuple[int, int]]]] = [
     ("exponential", ExponentialSpec, (), [(15, 4), (16, 5)]),
 ]
 
 #: Engines timed on the large cells (everything but the seed engine).
-LARGE_ENGINES = ["fast", "numpy", BATCHED, SHARDED]
+LARGE_ENGINES = ["fast", "numpy", BATCHED]
 
 #: Per-cell wall-clock budget the recording asserts for the large cells:
 #: every mode timed there must finish one run inside this many seconds —
@@ -124,15 +114,6 @@ def time_run(spec: ProtocolSpec, n: int, t: int, engine: str,
     batched = engine == BATCHED
 
     def one_run():
-        if engine == SHARDED:
-            from repro.runtime.sharding import run_sharded_if_supported
-            result = run_sharded_if_supported(
-                spec, config, scenario.faulty, scenario.adversary(), 0,
-                shards=SHARDED_SHARDS)
-            if result is None:
-                raise AssertionError(
-                    f"{spec.name} at (n={n}, t={t}) is not sharded-eligible")
-            return result
         with use_engine("numpy" if batched else engine):
             return run_agreement(spec, config, scenario.faulty,
                                  scenario.adversary(), batched=batched)
@@ -176,7 +157,6 @@ def _time_cell(label: str, spec_cls, args, n: int, t: int,
     fast_s = seconds.get("fast")
     numpy_s = seconds.get("numpy")
     batched_s = seconds.get(BATCHED)
-    sharded_s = seconds.get(SHARDED)
     row: Dict[str, object] = {
         "protocol": label,
         "n": n,
@@ -198,12 +178,6 @@ def _time_cell(label: str, spec_cls, args, n: int, t: int,
             "batched_vs_fast": _speedup(fast_s, batched_s),
             "batched_vs_numpy": _speedup(numpy_s, batched_s),
         })
-    if sharded_s is not None:
-        row.update({
-            "sharded_vs_fast": _speedup(fast_s, sharded_s),
-            "sharded_vs_numpy": _speedup(numpy_s, sharded_s),
-            "sharded_vs_batched": _speedup(batched_s, sharded_s),
-        })
     timings = "   ".join(f"{engine} {seconds[engine]:8.3f}s"
                          for engine in cell_engines)
     print(f"{label:18s} n={n:3d} t={t}  {timings}")
@@ -216,10 +190,10 @@ def run_benchmark(repetitions: int = 5, cells=CELLS,
     """Measure every cell under every requested engine and return the report.
 
     With the default engine list, the large-``n`` grid (:data:`LARGE_CELLS`)
-    is timed too, under every non-reference mode including the sharded run
-    executor; the recording asserts each of those cells completes within
-    :data:`LARGE_CELL_BUDGET_SECONDS`.  An explicit ``--engine`` subset
-    skips the large grid unless ``sharded`` is among the requested modes.
+    is timed too, under every non-reference mode; the recording asserts
+    each of those cells completes within :data:`LARGE_CELL_BUDGET_SECONDS`.
+    An explicit ``--engine`` subset skips the large grid unless ``batched``
+    is among the requested modes.
     """
     requested = list(engines) if engines is not None else None
     engines = requested if requested is not None else default_engines()
@@ -227,7 +201,7 @@ def run_benchmark(repetitions: int = 5, cells=CELLS,
     headline: Optional[Dict[str, object]] = None
     for label, spec_cls, args, grid in cells:
         for n, t in grid:
-            cell_engines = [e for e in engines if e != SHARDED]
+            cell_engines = list(engines)
             if BATCHED in cell_engines and not batched_supported(
                     spec_cls(*args), ProtocolConfig(n=n, t=t,
                                                     initial_value=1)):
@@ -235,8 +209,8 @@ def run_benchmark(repetitions: int = 5, cells=CELLS,
                 # recording its time would just duplicate the numpy column.
                 cell_engines.remove(BATCHED)
             if not cell_engines:
-                # e.g. --engine sharded alone: nothing to time on the
-                # classic grid — a timing-free row would corrupt the record.
+                # e.g. --engine batched alone on a baseline cell: a
+                # timing-free row would corrupt the record.
                 continue
             row = _time_cell(label, spec_cls, args, n, t, cell_engines,
                              repetitions)
@@ -246,7 +220,7 @@ def run_benchmark(repetitions: int = 5, cells=CELLS,
 
     large_budget = None
     run_large = (include_large and numpy_available()
-                 and (requested is None or SHARDED in requested))
+                 and (requested is None or BATCHED in requested))
     if run_large:
         large_budget = LARGE_CELL_BUDGET_SECONDS
         large_engines = (LARGE_ENGINES if requested is None
@@ -273,10 +247,8 @@ def run_benchmark(repetitions: int = 5, cells=CELLS,
         "numpy": _numpy_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        "engines": engines + ([SHARDED] if run_large
-                              and SHARDED not in engines else []),
+        "engines": engines,
         "large_cell_budget_seconds": large_budget,
-        "sharded_shards": SHARDED_SHARDS if run_large else None,
         "headline": headline,
         "rows": rows,
     }
@@ -294,25 +266,22 @@ def _numpy_version() -> Optional[str]:
 def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--engine", action="append",
-                        choices=tuple(ENGINES) + (BATCHED, SHARDED),
+                        choices=tuple(ENGINES) + (BATCHED,),
                         default=None, dest="engines",
                         help="engine/mode to time (repeatable; default: "
                              "every mode available in this process; "
-                             "'batched' is the whole-run executor, "
-                             "'sharded' the multi-process row-sharded "
-                             "backend timed on the large-n cells)")
+                             "'batched' is the whole-run executor)")
     parser.add_argument("--repetitions", type=int, default=5)
     parser.add_argument("--skip-large", action="store_true",
-                        help="skip the large-n grid (batched + sharded "
-                             "cells beyond the classic recording)")
+                        help="skip the large-n grid (cells beyond the "
+                             "classic recording)")
     parser.add_argument("--no-write", action="store_true",
                         help="print timings without rewriting BENCH_perf.json")
     args = parser.parse_args(argv)
     if args.engines:
         try:
             for engine in args.engines:
-                validate_engine("numpy" if engine in (BATCHED, SHARDED)
-                                else engine)
+                validate_engine("numpy" if engine == BATCHED else engine)
         except ValueError as exc:
             parser.error(str(exc))
     report = run_benchmark(repetitions=args.repetitions, engines=args.engines,
@@ -361,12 +330,12 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     budget = report.get("large_cell_budget_seconds")
     if budget is not None:
         for row in report["rows"]:
-            if "sharded_seconds" in row:
-                ratio = row.get("sharded_vs_batched")
-                versus = (f", {ratio}x vs batched" if ratio is not None
+            if "batched_seconds" in row and "reference_seconds" not in row:
+                ratio = row.get("batched_vs_numpy")
+                versus = (f", {ratio}x vs numpy" if ratio is not None
                           else "")
                 print(f"large cell: {row['protocol']} n={row['n']} "
-                      f"t={row['t']} sharded {row['sharded_seconds']:.3f}s "
+                      f"t={row['t']} batched {row['batched_seconds']:.3f}s "
                       f"(within the {budget:.0f}s budget{versus})")
 
 

@@ -34,11 +34,9 @@ gated on:
    in under 1.5× its recorded fast-engine baseline (opt-in because absolute
    times are machine-dependent).  On the recorded large cells (Exponential
    ``n=15`` and ``n=16``) the row-blocked batched executor must not be
-   slower than per-processor numpy.  When the recording times the **sharded run
-   executor**, its grid must extend at least two processors past the
-   largest single-process Exponential cell, inside the recorded per-cell
-   budget, and must beat the single-process batched engine at ``n ≥ 16``
-   on a recording box with two or more CPUs.
+   slower than per-processor numpy, and the batched grid must extend at
+   least two processors past the largest Exponential cell the reference
+   engine is timed on, inside the recorded per-cell budget.
 
 Every numpy assertion auto-skips when numpy is unavailable, so tier-1 stays
 green on bare environments.
@@ -280,49 +278,38 @@ def test_recorded_baseline_shows_no_small_level_crossover():
         f"Exponential n=7,t=2 — the small-level crossover is back")
 
 
-def test_recorded_sharded_backend_extends_the_grid():
-    """The sharded recording must reach past the single-process grid.
+def test_recorded_batched_grid_extends_past_the_classic_grid():
+    """The batched recording must reach past the reference engine's grid.
 
-    The sharded run executor's acceptance claim: it completes an Exponential
-    cell at an ``n`` at least 2 larger than the largest single-process cell
-    of the classic grid, inside the recording's per-cell wall-clock budget —
-    and it beats the single-process batched engine in the cache-bound
-    ``n ≥ 16`` regime it exists for.
+    The large-``n`` acceptance claim: the batched executor completes an
+    Exponential cell at an ``n`` at least 2 larger than the largest cell
+    the reference engine is timed on, inside the recording's per-cell
+    wall-clock budget.
     """
     report = load_recorded_perf()
     if report is None:
         pytest.skip("BENCH_perf.json not recorded yet (run benchmarks/bench_perf.py)")
-    if "sharded" not in report.get("engines", []):
-        pytest.skip("recorded BENCH_perf.json does not time the sharded "
-                    "backend (partial --engine recording or no numpy)")
+    if "batched" not in report.get("engines", []):
+        pytest.skip("recorded BENCH_perf.json does not time the batched "
+                    "executor (partial --engine recording or no numpy)")
     budget = report.get("large_cell_budget_seconds")
-    assert budget, "sharded recording lacks its per-cell wall-clock budget"
-    sharded_rows = [row for row in report.get("rows", [])
+    assert budget, "recording lacks its large-cell wall-clock budget"
+    batched_rows = [row for row in report.get("rows", [])
                     if row.get("protocol") == "exponential"
-                    and "sharded_seconds" in row]
-    assert sharded_rows, "sharded mode recorded but no sharded cells exist"
+                    and "batched_seconds" in row]
     classic = max(row["n"] for row in report["rows"]
                   if row.get("protocol") == "exponential"
                   and "reference_seconds" in row)
-    frontier = max(row["n"] for row in sharded_rows)
+    frontier = max(row["n"] for row in batched_rows)
     assert frontier >= classic + 2, (
-        f"sharded grid stops at n={frontier}; the single-process grid "
-        f"already reaches n={classic}")
-    for row in sharded_rows:
-        assert row["sharded_seconds"] <= budget, (
-            f"recorded sharded Exponential n={row['n']} t={row['t']} took "
-            f"{row['sharded_seconds']}s, over the {budget}s budget")
-        if (row["n"] >= 16 and row.get("sharded_vs_batched") is not None
-                and (report.get("cpu_count") or 1) >= 2):
-            # On a single-CPU recording box the backend pays full claims
-            # serialization with zero parallel compute — the win needs
-            # cores; there the budget and frontier assertions above are the
-            # acceptance anchor.
-            assert row["sharded_vs_batched"] >= 1, (
-                f"sharded backend is {row['sharded_vs_batched']}x the "
-                f"single-process batched engine at n={row['n']} with "
-                f"{report['cpu_count']} CPUs — it lost the cache-bound "
-                f"regime it exists for")
+        f"batched grid stops at n={frontier}; the reference grid already "
+        f"reaches n={classic}")
+    for row in batched_rows:
+        if "reference_seconds" in row:
+            continue
+        assert row["batched_seconds"] <= budget, (
+            f"recorded batched Exponential n={row['n']} t={row['t']} took "
+            f"{row['batched_seconds']}s, over the {budget}s budget")
 
 
 def test_recorded_batched_not_slower_than_numpy_at_large_n():
@@ -352,21 +339,6 @@ def test_recorded_batched_not_slower_than_numpy_at_large_n():
             f"recorded batched executor is {ratio}x per-processor numpy at "
             f"{label} n={n}, t={t}; row-blocked batched lost the large-n "
             f"cells")
-
-
-def test_sharded_only_subset_records_no_classic_junk_rows():
-    """``--engine sharded`` must not emit timing-free rows for classic cells.
-
-    A timing-free row (no ``*_seconds`` keys, ``speedup: None``) written
-    into BENCH_perf.json would break every recorded-baseline gate above.
-    No cells are actually timed here (the large grid is disabled), so this
-    is a pure bookkeeping check.
-    """
-    from bench_perf import run_benchmark
-    report = run_benchmark(repetitions=1, engines=["sharded"],
-                           include_large=False)
-    assert report["rows"] == []
-    assert report["headline"] is None
 
 
 def test_fresh_measurement_within_recorded_baseline():

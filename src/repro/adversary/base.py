@@ -59,7 +59,7 @@ class Adversary(abc.ABC):
 
     #: ``None`` when the strategy is expressible under the batched whole-run
     #: executor (a claims-matrix edit); otherwise a one-line reason string.
-    #: The batched and sharded drivers fall back to the per-processor path
+    #: The batched driver falls back to the per-processor path
     #: when set, and the planner/``repro validate`` surface the reason.
     batched_fallback_reason: Optional[str] = None
 

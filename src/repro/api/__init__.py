@@ -14,8 +14,7 @@ executing agreement runs:
   settings loudly;
 * **executors** (:mod:`.executors`) — the pluggable execution layer
   (``submit``/``iter_reports``/``close``) with a name→factory registry:
-  ``"serial"``, ``"pool"``, the row-sharding ``"sharded"`` backend for
-  large-``n`` runs, and the ``"supervised"`` resilient backend (worker
+  ``"serial"``, ``"pool"``, and the ``"supervised"`` resilient backend (worker
   deadlines, seeded retry/backoff, degradation ladder, audit trail);
 * **façade** (:mod:`.facade`) — :func:`execute` for one request,
   :func:`execute_resilient` for one supervised request,
@@ -38,16 +37,14 @@ True
 from __future__ import annotations
 
 from .executors import (DEFAULT_EXECUTOR, Executor, PoolExecutor,
-                        SerialExecutor, ShardedRunExecutor,
-                        SupervisedExecutor, build_executor, executor_names,
-                        executor_registry, resolve_executor)
+                        SerialExecutor, SupervisedExecutor, build_executor,
+                        executor_names, executor_registry, resolve_executor)
 # Imported after .executors: repro.core must initialize before repro.runtime
 # (runtime.messages reaches back into core.sequences).
 from ..runtime.chaos import ChaosPolicy, FaultInjection, chaos_scope
 from .facade import (execute, execute_grouped, execute_many,
                      execute_resilient, iter_execute, plan_request)
-from .planner import (ExecutionPlan, batched_ineligibility, plan_run,
-                      plan_shardable)
+from .planner import ExecutionPlan, batched_ineligibility, plan_run
 from .registries import (ParamSpec, RegistryEntry, RegistryError,
                          adversary_names, adversary_registry, build_adversary,
                          build_protocol, protocol_names, protocol_registry,
@@ -63,9 +60,8 @@ __all__ = [
     "SEED_POLICIES", "derive_seed",
     "execute", "execute_many", "execute_grouped", "execute_resilient",
     "iter_execute", "plan_request",
-    "ExecutionPlan", "plan_run", "plan_shardable", "batched_ineligibility",
-    "Executor", "SerialExecutor", "PoolExecutor", "ShardedRunExecutor",
-    "SupervisedExecutor",
+    "ExecutionPlan", "plan_run", "batched_ineligibility",
+    "Executor", "SerialExecutor", "PoolExecutor", "SupervisedExecutor",
     "executor_registry", "executor_names", "build_executor",
     "resolve_executor", "DEFAULT_EXECUTOR",
     "ChaosPolicy", "FaultInjection", "chaos_scope",

@@ -9,7 +9,7 @@ and streams ``(index, report)`` pairs back through
 sweeps checkpoint durably (:mod:`repro.api.sweep`) and callers act on early
 results while later cells are still running.
 
-Four built-in backends, addressable by name through
+Three built-in backends, addressable by name through
 :func:`executor_registry` (the same :class:`~repro.api.registries.RegistryEntry`
 machinery as the protocol/adversary registries):
 
@@ -22,19 +22,11 @@ machinery as the protocol/adversary registries):
     forwarding, completion-order streaming, and clean degradation to serial
     for single requests / one-worker pools / platforms without process
     spawning.
-``sharded``
-    The large-``n`` backend: each *single run* is row-sharded across worker
-    processes (:mod:`repro.runtime.sharding`) — the coordinator keeps the
-    adversary and message accounting, the workers step contiguous blocks of
-    the run's :class:`~repro.core.npsupport.BatchedEIGState` row stack, and
-    cross-shard claims travel as serialized code ndarrays once per round.
-    Requests whose plan is not batched-eligible fall back to the ordinary
-    planner path, so a mixed sweep still completes.
 ``supervised``
     The resilient backend: every run is supervised
     (:mod:`repro.runtime.supervision`) with per-worker deadlines, bounded
-    seeded retries, and a degradation ladder ``sharded → batched → pool →
-    serial``; every recovery step is audited in
+    seeded retries, and a degradation ladder ``batched → pool → serial``;
+    every recovery step is audited in
     ``RunReport.metadata["resilience"]``.
 
 Requests are executed exactly as :func:`repro.api.facade.execute` would —
@@ -235,81 +227,9 @@ class PoolExecutor(Executor):
                 yield index, report
 
 
-class ShardedRunExecutor(Executor):
-    """The large-``n`` backend: row-shard each submitted run across processes.
-
-    Requests run one after another (each already uses every worker), each
-    split over *shards* worker processes by
-    :func:`repro.runtime.sharding.run_sharded_if_supported` —
-    observationally identical to the single-process batched engine.
-    Batched-ineligible requests (non-EIG specs, explicit per-processor
-    engines, numpy-less environments) fall back to the ordinary planner
-    path, so mixed sweeps still complete; their reports carry the engine the
-    fallback actually used, while sharded runs record
-    ``engine_resolved == "sharded"``.
-    """
-
-    name = "sharded"
-
-    def __init__(self, shards: Optional[int] = None,
-                 deadline: Optional[float] = None) -> None:
-        super().__init__()
-        if shards is not None and shards < 1:
-            raise ConfigurationError(
-                f"a sharded executor needs at least one shard, got {shards}")
-        if deadline is not None and not deadline > 0:
-            raise ConfigurationError(
-                f"a worker deadline must be positive seconds, got {deadline}")
-        self.shards = shards
-        self.deadline = deadline
-
-    def iter_reports(self) -> Iterator[Tuple[int, RunReport]]:
-        for index, request in self._take_pending():
-            yield index, self._execute_one(request)
-
-    def _execute_one(self, request: RunRequest) -> RunReport:
-        from ..runtime.sharding import run_sharded_if_supported
-        from .facade import execute
-        from .planner import plan_run
-        spec, config, faulty, adversary = request.resolve_parts()
-        plan = plan_run(request, spec, config, faulty, adversary)
-        if plan.batched:
-            with use_engine(plan.engine):
-                result = run_sharded_if_supported(spec, config, faulty,
-                                                  adversary, request.seed,
-                                                  shards=self.shards,
-                                                  deadline=self.deadline)
-            if result is not None:
-                return RunReport.from_result(
-                    result, engine=request.engine, engine_resolved="sharded",
-                    scenario=request.scenario, seed=request.seed)
-        return execute(request)
-
-
 # ---------------------------------------------------------------------------
 # The supervised executor: a degradation ladder over the other backends.
 # ---------------------------------------------------------------------------
-
-def _rung_sharded(request: RunRequest, shards: Optional[int],
-                  deadline: Optional[float]) -> RunReport:
-    """The most capable rung: row-sharded multi-process execution."""
-    from ..runtime.sharding import run_sharded_if_supported
-    from .planner import plan_run
-    spec, config, faulty, adversary = request.resolve_parts()
-    plan = plan_run(request, spec, config, faulty, adversary)
-    if not plan.batched:
-        raise RungUnavailable("request is not batched-eligible")
-    with use_engine(plan.engine):
-        result = run_sharded_if_supported(spec, config, faulty, adversary,
-                                          request.seed, shards=shards,
-                                          deadline=deadline)
-    if result is None:
-        raise RungUnavailable("sharding unsupported here (no numpy, "
-                              "one shard, or too few rows)")
-    return RunReport.from_result(result, engine=request.engine,
-                                 engine_resolved="sharded",
-                                 scenario=request.scenario, seed=request.seed)
-
 
 def _rung_batched(request: RunRequest) -> RunReport:
     """Single-process execution exactly as the facade plans it."""
@@ -363,7 +283,7 @@ class SupervisedExecutor(Executor):
 
     Every submitted request is run under a
     :class:`~repro.runtime.supervision.Supervisor` walking *ladder* (default
-    ``sharded → batched → pool → serial``): each rung gets ``max_attempts``
+    ``batched → pool → serial``): each rung gets ``max_attempts``
     tries with deterministic seeded backoff before the ladder steps down, and
     every retry, downgrade, and skip lands in the report's
     ``metadata["resilience"]`` audit trail.  An undisturbed run takes the
@@ -372,8 +292,8 @@ class SupervisedExecutor(Executor):
     ``engine_resolved``/``metadata`` fields — see
     :meth:`~repro.api.request.RunReport.outcome_dict`) to unsupervised ones.
 
-    *deadline* bounds each worker interaction (shard-round replies, pool
-    results) so a hung worker surfaces as a named
+    *deadline* bounds each pool worker's reply so a hung worker surfaces as
+    a named
     :class:`~repro.runtime.errors.WorkerTimeoutError` instead of a hang.
     *chaos* optionally installs a :class:`~repro.runtime.chaos.ChaosPolicy`
     (or plain policy data) for the duration of :meth:`iter_reports` — unless
@@ -385,7 +305,7 @@ class SupervisedExecutor(Executor):
     def __init__(self, ladder: Optional[Iterable[str]] = None,
                  max_attempts: int = 3, base_delay: float = 0.05,
                  backoff_factor: float = 2.0, deadline: float = 30.0,
-                 shards: Optional[int] = None, chaos: object = None) -> None:
+                 chaos: object = None) -> None:
         super().__init__()
         rungs = tuple(ladder) if ladder is not None else DEFAULT_LADDER
         unknown = [stage for stage in rungs if stage not in DEFAULT_LADDER]
@@ -399,21 +319,15 @@ class SupervisedExecutor(Executor):
         if not deadline > 0:
             raise ConfigurationError(
                 f"a worker deadline must be positive seconds, got {deadline}")
-        if shards is not None and shards < 1:
-            raise ConfigurationError(
-                f"a sharded rung needs at least one shard, got {shards}")
         self.ladder = rungs
         self.retry = RetryPolicy(max_attempts=max_attempts,
                                  base_delay=base_delay,
                                  backoff_factor=backoff_factor)
         self.deadline = deadline
-        self.shards = shards
         self.chaos = chaos
 
     def _rungs(self, request: RunRequest):
         thunks = {
-            "sharded": lambda: _rung_sharded(request, self.shards,
-                                             self.deadline),
             "batched": lambda: _rung_batched(request),
             "pool": lambda: _rung_pool(request, self.deadline),
             "serial": lambda: _rung_serial(request),
@@ -453,29 +367,15 @@ def _executor_entries() -> Tuple[RegistryEntry, ...]:
                 doc="worker processes (default: one per CPU, capped at the "
                     "request count)"),)),
         RegistryEntry(
-            "sharded", ShardedRunExecutor,
-            doc="row-shard each single run across worker processes "
-                "(large-n batched runs)",
-            params=(
-                ParamSpec(
-                    "shards", int,
-                    doc="worker processes per run (default: the CPU count, "
-                        "capped at the run's row count)"),
-                ParamSpec(
-                    "deadline", float,
-                    doc="seconds to wait for each shard-round reply before "
-                        "raising WorkerTimeoutError (default: wait forever)"),
-            )),
-        RegistryEntry(
             "supervised", SupervisedExecutor,
-            doc="supervised ladder (sharded→batched→pool→serial) with "
+            doc="supervised ladder (batched→pool→serial) with "
                 "heartbeats, seeded retry/backoff, and a resilience audit "
                 "trail",
             params=(
                 ParamSpec(
                     "ladder", list,
-                    doc="ordered rung names to walk (default: sharded, "
-                        "batched, pool, serial)"),
+                    doc="ordered rung names to walk (default: batched, "
+                        "pool, serial)"),
                 ParamSpec(
                     "max_attempts", int,
                     doc="tries per rung before downgrading (default 3)"),
@@ -489,9 +389,6 @@ def _executor_entries() -> Tuple[RegistryEntry, ...]:
                     "deadline", float,
                     doc="seconds before a silent worker counts as hung "
                         "(default 30)"),
-                ParamSpec(
-                    "shards", int,
-                    doc="worker processes for the sharded rung"),
                 ParamSpec(
                     "chaos", dict,
                     doc="chaos policy data to activate for the run "

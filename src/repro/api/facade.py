@@ -54,7 +54,7 @@ def execute_resilient(request: RunRequest, **options) -> RunReport:
     A one-shot convenience over the ``"supervised"`` executor backend —
     *options* are :class:`~repro.api.executors.SupervisedExecutor`
     constructor arguments (``ladder``, ``max_attempts``, ``deadline``,
-    ``shards``, ``chaos``, …).  The report's ``metadata["resilience"]``
+    ``chaos``, …).  The report's ``metadata["resilience"]``
     documents every retry and downgrade that happened on the way; an
     undisturbed run carries none and is observationally identical to
     :func:`execute` (see
@@ -75,7 +75,7 @@ def iter_execute(requests: Iterable[RunRequest],
 
     *executor* selects the backend: an
     :class:`~repro.api.executors.Executor` instance (closed by its builder,
-    not here), a registry name (``"serial"``, ``"pool"``, ``"sharded"``), or
+    not here), a registry name (``"serial"``, ``"pool"``, ``"supervised"``), or
     ``None`` for the default pool.  Indexes follow submission order; yield
     order is the backend's completion order, so a consumer can checkpoint or
     render results while later cells still run.

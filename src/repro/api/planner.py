@@ -34,10 +34,8 @@ silently.  An explicit ``"batched"`` on an ineligible run degrades to the
 ``"fast"`` engine, also with a warning.
 
 The planner decides the *engine*; the *executor backend* a run is placed on
-(:mod:`repro.api.executors` — serial, pool, or the sharded large-``n``
-backend) is orthogonal and chosen by the caller.  :func:`plan_shardable`
-answers the one question that couples them: whether a run's plan would let
-the sharded backend split its row stack (exactly the batched-eligible runs).
+(:mod:`repro.api.executors` — serial, pool, or supervised) is orthogonal and
+chosen by the caller.
 """
 
 from __future__ import annotations
@@ -80,8 +78,7 @@ def batched_ineligibility(spec: "ProtocolSpec", config: "ProtocolConfig",
                           adversary=None) -> Optional[str]:
     """Why this run cannot take the batched path — ``None`` means eligible.
 
-    The single authority the planner, the sharded executor, and ``repro
-    validate`` consult.  The checks mirror
+    The single authority the planner and ``repro validate`` consult.  The checks mirror
     :func:`~repro.runtime.batched.run_batched_if_supported` in order: an
     adversary that declares a
     :attr:`~repro.adversary.base.Adversary.batched_fallback_reason` declines
@@ -104,22 +101,6 @@ def batched_ineligibility(spec: "ProtocolSpec", config: "ProtocolConfig",
                for p in config.processors):
         return "no correct non-source processor participates"
     return None
-
-
-def plan_shardable(spec: "ProtocolSpec", config: "ProtocolConfig",
-                   faulty: FrozenSet[int] = frozenset(),
-                   adversary=None) -> bool:
-    """Whether the sharded run executor could row-split this run.
-
-    True exactly when the run is batched-eligible — the sharded backend is
-    the batched engine with its row stack partitioned across processes, so
-    the two share one eligibility rule.  Ineligible runs placed on a
-    ``"sharded"`` executor fall back to the ordinary planner path.  (An
-    adversary with a corruption hook still plans as shardable: the sharded
-    executor runs it single-process batched, preserving observational
-    identity.)
-    """
-    return batched_ineligibility(spec, config, faulty, adversary) is None
 
 
 def plan_run(request: RunRequest, spec: "ProtocolSpec",

@@ -23,6 +23,7 @@ The faulty set can be given two ways, mirroring how the harness works:
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -59,6 +60,22 @@ def derive_seed(sweep_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
 
 
+def _integer_field(name: str, value: Any) -> int:
+    """*value* as a plain ``int``, or a :class:`ConfigurationError` naming *name*.
+
+    Accepts exactly what :func:`operator.index` accepts except ``bool``: a
+    float, a numeric string, or ``True`` is a malformed request, not a
+    processor id or seed to coerce.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigurationError(
+        f"RunRequest field {name!r} must be an integer, got {value!r}")
+
+
 def _int_keyed(mapping: Mapping[Any, Any], convert) -> Dict[int, Any]:
     """Rebuild a JSON-stringified int-keyed mapping with *convert* on values."""
     return {int(key): convert(value) for key, value in mapping.items()}
@@ -88,9 +105,21 @@ class RunRequest:
         object.__setattr__(self, "protocol_params", dict(self.protocol_params))
         object.__setattr__(self, "adversary_params", dict(self.adversary_params))
         object.__setattr__(self, "domain", tuple(self.domain))
+        for name in ("n", "t", "source", "seed"):
+            object.__setattr__(self, name,
+                               _integer_field(name, getattr(self, name)))
         if self.faulty is not None:
-            object.__setattr__(self, "faulty",
-                               tuple(sorted(int(p) for p in self.faulty)))
+            try:
+                faulty = [_integer_field("faulty", pid) for pid in self.faulty]
+            except TypeError:
+                raise ConfigurationError(
+                    f"RunRequest field 'faulty' must be a list of processor "
+                    f"ids, got {self.faulty!r}") from None
+            if len(set(faulty)) != len(faulty):
+                raise ConfigurationError(
+                    f"RunRequest field 'faulty' repeats a processor id: "
+                    f"{sorted(faulty)}")
+            object.__setattr__(self, "faulty", tuple(sorted(faulty)))
         if self.engine not in ENGINE_CHOICES:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; expected one of "
@@ -180,8 +209,6 @@ class RunRequest:
                 f"unknown RunRequest field(s) {sorted(unknown)}; "
                 f"accepted: {sorted(known)}")
         kwargs = dict(data)
-        if kwargs.get("faulty") is not None:
-            kwargs["faulty"] = tuple(kwargs["faulty"])
         if "domain" in kwargs:
             kwargs["domain"] = tuple(kwargs["domain"])
         return cls(**kwargs)
@@ -389,7 +416,7 @@ class RunReport:
         Drops ``engine``, ``engine_resolved``, and ``metadata`` — the
         execution-side fields that legitimately differ when the same request
         runs on different substrates (a supervised run that downgraded from
-        ``sharded`` to ``serial``, a pool run that retried).  Two executions
+        ``pool`` to ``serial``, a pool run that retried).  Two executions
         of the same request are observationally identical iff their
         ``outcome_dict`` values are equal — the property the chaos suite
         asserts byte-for-byte.

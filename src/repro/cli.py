@@ -12,13 +12,13 @@ Eight subcommands, all built on the :mod:`repro.api` façade:
     Execute a JSON file of serialized :class:`~repro.api.request.RunRequest`
     objects (or a whole :class:`~repro.api.request.SweepSpec`; ``-`` reads
     stdin) on a chosen executor backend — ``--executor
-    {serial,pool,sharded,supervised}`` — with optional durability:
+    {serial,pool,supervised}`` — with optional durability:
     ``--checkpoint out.jsonl`` appends one JSON line per completed request
     as it finishes (header created atomically; ``--fsync`` upgrades flush
     to fsync per line), and ``--resume`` replays the log after a crash,
     skipping what already completed.  The supervised backend
     (``--max-attempts`` / ``--deadline`` imply it) adds worker deadlines,
-    seeded retry/backoff, and the sharded→batched→pool→serial degradation
+    seeded retry/backoff, and the batched→pool→serial degradation
     ladder; ``--chaos policy.json`` injects infrastructure faults for
     resilience testing.  Prints a summary table or, with ``--json``, the
     full report list.
@@ -26,8 +26,8 @@ Eight subcommands, all built on the :mod:`repro.api` façade:
 ``repro validate``
     Dry-run the registry/planner checks for a request file (``-`` for
     stdin): every request is resolved and planned — reporting the engine the
-    planner would use and whether the sharded backend could split it —
-    without executing anything.  ``--all-registered`` validates the full
+    planner would use and why a batched-ineligible run falls back — without
+    executing anything.  ``--all-registered`` validates the full
     protocol × adversary cross-product instead of a file, clamping ``t``
     per protocol to its resilience envelope, so a registry entry that
     stopped resolving fails CI before any experiment does.
@@ -89,7 +89,7 @@ Examples
     python -m repro run --protocol exponential --n 13 --t 4 --json
     python -m repro sweep requests.json --json
     python -m repro sweep requests.json --checkpoint out.jsonl --resume
-    repro-requests | python -m repro sweep - --executor sharded
+    repro-requests | python -m repro sweep - --executor serial
     python -m repro sweep requests.json --executor supervised --deadline 30
     python -m repro sweep requests.json --chaos chaos.json --json
     python -m repro sweep requests.json --checkpoint out.jsonl --compact
@@ -124,8 +124,7 @@ from .analysis import format_table
 from .api import (ENGINE_CHOICES, RegistryError, RunReport, RunRequest,
                   SweepSpec, adversary_names, batched_ineligibility,
                   build_executor, execute, executor_names, plan_run,
-                  plan_shardable, protocol_names, protocol_registry,
-                  run_sweep)
+                  protocol_names, protocol_registry, run_sweep)
 from .core.engine import ENGINES, set_default_engine
 from .experiments import run_all_experiments
 from .runtime.errors import ConfigurationError
@@ -190,29 +189,23 @@ def _parser() -> argparse.ArgumentParser:
     sweep.add_argument("--executor", choices=sorted(executor_names()),
                        default=None,
                        help="execution backend (default: the sweep file's "
-                            "choice, else the process pool); 'sharded' "
-                            "row-splits each eligible run across worker "
-                            "processes")
+                            "choice, else the process pool)")
     sweep.add_argument("--serial", action="store_true",
                        help="alias for --executor serial")
     sweep.add_argument("--max-workers", type=int, default=None,
                        help="worker processes for the pool executor")
-    sweep.add_argument("--shards", type=int, default=None,
-                       help="worker processes per run for the sharded or "
-                            "supervised executor (default: the CPU count)")
     sweep.add_argument("--max-attempts", type=int, default=None,
                        help="retries per ladder rung for the supervised "
                             "executor (default 3; implies --executor "
                             "supervised)")
     sweep.add_argument("--deadline", type=float, default=None,
                        help="seconds before a silent worker counts as hung, "
-                            "for the supervised or sharded executor "
-                            "(implies --executor supervised)")
+                            "for the supervised executor (implies --executor "
+                            "supervised)")
     sweep.add_argument("--chaos", metavar="POLICY.json", default=None,
                        help="inject the infrastructure faults of a chaos "
-                            "policy file (worker kills/hangs, pipe faults, "
-                            "checkpoint write failures) — resilience "
-                            "testing aid")
+                            "policy file (pool worker kills, checkpoint "
+                            "write failures) — resilience testing aid")
     sweep.add_argument("--checkpoint", metavar="PATH", default=None,
                        help="append one JSON line per completed request to "
                             "PATH as it finishes (crash-durable JSONL log; "
@@ -522,8 +515,8 @@ def _load_requests(path: str) -> List[RunRequest]:
 def _sweep_executor(args: argparse.Namespace, spec: SweepSpec):
     """The executor the flags select, or ``None`` to use the spec's own.
 
-    A bare parameter flag implies its backend (``--shards`` → sharded,
-    ``--max-workers`` → pool); a parameter flag naming a *different*
+    A bare parameter flag implies its backend (``--max-workers`` → pool,
+    ``--deadline`` → supervised); a parameter flag naming a *different*
     backend is an error rather than a silently dropped option.
     """
     name = args.executor
@@ -532,15 +525,8 @@ def _sweep_executor(args: argparse.Namespace, spec: SweepSpec):
     if name is None and (args.max_attempts is not None
                          or args.deadline is not None):
         name = "supervised"
-    if name is None and args.shards is not None:
-        name = "sharded"
     if name is None and args.max_workers is not None:
         name = "pool"
-    if args.shards is not None and name not in ("sharded", "supervised"):
-        raise SystemExit(
-            f"--shards applies to the sharded or supervised executor, but "
-            f"the sweep runs on {name!r}; drop the flag or pass "
-            f"--executor sharded")
     if args.max_workers is not None and name != "pool":
         raise SystemExit(
             f"--max-workers applies to the pool executor, but the sweep "
@@ -550,19 +536,16 @@ def _sweep_executor(args: argparse.Namespace, spec: SweepSpec):
             f"--max-attempts applies to the supervised executor, but the "
             f"sweep runs on {name!r}; drop the flag or pass "
             f"--executor supervised")
-    if args.deadline is not None and name not in ("supervised", "sharded"):
+    if args.deadline is not None and name != "supervised":
         raise SystemExit(
-            f"--deadline applies to the supervised or sharded executor, "
-            f"but the sweep runs on {name!r}; drop the flag or pass "
-            f"--executor supervised")
+            f"--deadline applies to the supervised executor, but the sweep "
+            f"runs on {name!r}; drop the flag or pass --executor supervised")
     if name is None:
         return None  # defer to the sweep file's executor/executor_params
     params = {}
     if name == "pool" and args.max_workers is not None:
         params["max_workers"] = args.max_workers
-    if name in ("sharded", "supervised") and args.shards is not None:
-        params["shards"] = args.shards
-    if name in ("sharded", "supervised") and args.deadline is not None:
+    if name == "supervised" and args.deadline is not None:
         params["deadline"] = args.deadline
     if name == "supervised" and args.max_attempts is not None:
         params["max_attempts"] = args.max_attempts
@@ -719,7 +702,7 @@ def _command_validate(args: argparse.Namespace) -> int:
     for position, item in enumerate(items):
         row = {"index": position, "protocol": "?", "n": "?", "t": "?",
                "adversary": "?", "engine": "?", "resolved": "?",
-               "shardable": "?", "batched": "?", "status": "ok"}
+               "batched": "?", "status": "ok"}
         try:
             request = RunRequest.from_dict(item)
             row.update({"protocol": request.protocol, "n": request.n,
@@ -728,7 +711,6 @@ def _command_validate(args: argparse.Namespace) -> int:
             spec, config, faulty, adversary = request.resolve_parts()
             plan = plan_run(request, spec, config, faulty, adversary)
             row["resolved"] = plan.resolved
-            row["shardable"] = plan_shardable(spec, config, faulty, adversary)
             reason = batched_ineligibility(spec, config, faulty, adversary)
             row["batched"] = ("eligible" if reason is None
                               else f"fallback: {reason}")

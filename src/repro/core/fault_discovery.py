@@ -474,7 +474,8 @@ def discover_during_conversion_batched(index: SequenceIndex,
                                        num_levels: int,
                                        suspect_sets: Sequence[Set[ProcessorId]],
                                        t: int,
-                                       meters: Sequence[ComputationMeter]
+                                       meters: Sequence[ComputationMeter],
+                                       bottom=None
                                        ) -> List[Set[ProcessorId]]:
     """Whole-run counterpart of :func:`discover_during_conversion_numpy`.
 
@@ -484,7 +485,10 @@ def discover_during_conversion_batched(index: SequenceIndex,
     each participant's ``L_p`` at conversion time.  One 2-D trigger kernel per
     level serves every participant; the per-label scan — and therefore every
     decision and meter charge — is the per-processor pass verbatim, row by
-    row.
+    row.  With *bottom*, the
+    :class:`~repro.core.fault_masking.ChildCounts` of the ungathered leaf
+    level, the deepest parents take their triggers from the counts (leaves
+    convert to themselves).
     """
     from .npsupport import VALUE_CODEC
     count = len(suspect_sets)
@@ -495,9 +499,12 @@ def discover_during_conversion_batched(index: SequenceIndex,
     for level in range(1, num_levels):
         branch = index.branch(level)
         parents_size = index.level_size(level)
-        fired = batched_fired_ids(
-            converted_stacks[level], parents_size, branch, index, level + 1,
-            suspect_sets, budgets, num_codes)
+        if bottom is not None and level == num_levels - 1:
+            fired = bottom.fired_ids(range(count), suspect_sets, budgets)
+        else:
+            fired = batched_fired_ids(
+                converted_stacks[level], parents_size, branch, index,
+                level + 1, suspect_sets, budgets, num_codes)
         for i in range(count):
             if not fired[i]:
                 charges[i] += quiet_scan_charge(

@@ -201,50 +201,270 @@ def gather_level_batched(state, level: int, claims, row_of, domain_mask
     state.append_level(stack)
 
 
+class _StackedLevel:
+    """A gathered level stack as the batched fixpoint's trigger source.
+
+    Triggers come from the shared window kernels
+    (:func:`~repro.core.fault_discovery.batched_fired_ids`); masking a
+    sender rewrites its slots of the owner's row with the default.
+    """
+
+    __slots__ = ("index", "level", "stack", "slots", "branch",
+                 "parents_size")
+
+    def __init__(self, state, level: int) -> None:
+        self.index = state.index
+        self.level = level
+        self.stack = state.raw_stack(level)
+        self.slots = self.index.slots_np(level)
+        self.branch = self.index.branch(level - 1)
+        self.parents_size = self.index.level_size(level - 1)
+
+    def fired_ids(self, rows: List[int], suspect_sets,
+                  budgets) -> List[List[int]]:
+        from .fault_discovery import batched_fired_ids
+        from .npsupport import VALUE_CODEC
+        stack = self.stack if len(rows) == len(self.stack) else self.stack[rows]
+        return batched_fired_ids(stack, self.parents_size, self.branch,
+                                 self.index, self.level, suspect_sets,
+                                 budgets, len(VALUE_CODEC))
+
+    def mask_senders(self, i: int, senders) -> int:
+        from .npsupport import DEFAULT_CODE
+        row = self.stack[i]
+        rewritten = 0
+        for pid in senders:
+            entry = self.slots.get(pid)
+            if entry is None:
+                continue
+            slots = entry[0]
+            row[slots] = DEFAULT_CODE
+            rewritten += int(slots.size)
+        return rewritten
+
+
+class ChildCounts:
+    """Per-``(row, parent)`` child-value counts of a level never gathered.
+
+    The round that ends an EIG segment reads its new level only through the
+    Fault Discovery Rule and the bottom vote of ``resolve`` / ``resolve'``,
+    and both depend only on how many children of each parent hold each
+    value and which of those children are listed.  So instead of gathering
+    that ``(rows, |level|)`` stack, this kernel counts, for every
+    non-default domain code ``k``::
+
+        counts[k, i, p] = Σ_c [claims[row_of[i, c], p] == k] · mask[c, p]
+
+    straight from the round's claims matrix and ``row_of`` routing (the
+    inputs of :func:`gather_level_batched`, with the same domain mask),
+    where ``mask`` is the parent level's
+    :meth:`~repro.core.sequences.SequenceIndex.child_mask_np`.  The default
+    code's count is the complement: after the domain mask every claim is a
+    domain code.  Columns routed alike in every row (the correct senders)
+    are counted once; only the faulty, suspect and echo columns are counted
+    per row, in :func:`~repro.core.npsupport.row_blocks` of the leaf
+    elements the counts stand for.
+
+    :meth:`fired_ids` and :meth:`vote` decide exactly as
+    :func:`~repro.core.fault_discovery.batched_window_triggers` and the
+    shared vote select do on the gathered stack.  :meth:`mask_senders`
+    applies the Fault Masking Rule by routing a sender's column to the
+    *default_row* of *claims* and taking its children out of the row's
+    counts.
+    """
+
+    __slots__ = ("branch", "parents_size", "child_mask", "slot_counts",
+                 "row_of", "default_row", "claims", "codes", "counts", "best",
+                 "best_count", "_stale", "_hits", "_dtype")
+
+    def __init__(self, index, parent_level: int, claims, row_of,
+                 default_row: int, domain_mask) -> None:
+        from .npsupport import DEFAULT_CODE, require_numpy, row_blocks
+        np = require_numpy()
+        self.branch = index.branch(parent_level)
+        self.parents_size = index.level_size(parent_level)
+        self.child_mask = mask = index.child_mask_np(parent_level)
+        #: Per label: its child slots in the uncollected level.
+        self.slot_counts = mask.sum(axis=1).tolist()
+        self.row_of = row_of
+        self.default_row = default_row
+        self.codes = [code for code in np.flatnonzero(domain_mask).tolist()
+                      if code != DEFAULT_CODE]
+        # A non-default domain code survives the domain mask unchanged, so
+        # its hits need no masked copy; every other claim reads as default.
+        self._hits = [claims == code for code in self.codes]
+        self.claims = np.full(claims.shape, DEFAULT_CODE, dtype=claims.dtype)
+        for code, hit in zip(self.codes, self._hits):
+            self.claims[hit] = code
+        self._dtype = np.min_scalar_type(self.branch)
+        rows = row_of.shape[0]
+        labels = np.flatnonzero(mask.any(axis=1))
+        shared = (row_of[:, labels] == row_of[:1, labels]).all(axis=0)
+        common, varying = labels[shared], labels[~shared]
+        shape = (rows, self.parents_size)
+        self.counts = np.empty((len(self.codes),) + shape, dtype=self._dtype)
+        #: Each entry's top code and its count; rows whose counts changed
+        #: since are *_stale* until the next trigger or vote pass.
+        self.best = np.empty(shape, dtype=claims.dtype)
+        self.best_count = np.empty(shape, dtype=self._dtype)
+        self._stale: Set[int] = set()
+        bases = [(hit[row_of[0, common]] & mask[common]).sum(
+            axis=0, dtype=self._dtype) for hit in self._hits]
+        for start, stop in row_blocks(rows, self.branch * self.parents_size):
+            routed = row_of[start:stop][:, varying]
+            for hit, base, counts in zip(self._hits, bases, self.counts):
+                counts[start:stop] = (hit[routed] & mask[varying]).sum(
+                    axis=1, dtype=self._dtype)
+                counts[start:stop] += base
+            self._rank(slice(start, stop))
+
+    def _rank(self, rows=None) -> None:
+        """Refresh the top code and its count of *rows* — by default every
+        stale row — taking the first maximum in code order, like
+        ``argmax``."""
+        from .npsupport import DEFAULT_CODE, require_numpy
+        np = require_numpy()
+        if rows is None:
+            if not self._stale:
+                return
+            rows = sorted(self._stale)
+            self._stale.clear()
+        block = self.counts[:, rows]
+        best_count = self.branch - block.sum(axis=0, dtype=self._dtype)
+        best = np.full(best_count.shape, DEFAULT_CODE, dtype=self.best.dtype)
+        for code, count in zip(self.codes, block):
+            best[count > best_count] = code
+            np.maximum(best_count, count, out=best_count)
+        self.best[rows] = best
+        self.best_count[rows] = best_count
+
+    def fired_ids(self, rows: List[int], suspect_sets,
+                  budgets) -> List[List[int]]:
+        """Ascending fired parent ids of each row in *rows*.
+
+        A window fires when no code holds a strict majority of its children,
+        or when more than the row's budget of unlisted children deviate from
+        the top code: ``branch − top count − suspect children that
+        deviate``, where a suspect child reads its routed claims row.
+        """
+        from .npsupport import require_numpy, row_blocks
+        np = require_numpy()
+        self._rank()
+        rows = np.asarray(rows, dtype=np.int64)
+        budgets = np.asarray(budgets, dtype=np.int64)
+        fired: List[List[int]] = [[] for _ in range(rows.size)]
+        for start, stop in row_blocks(rows.size, self.branch
+                                      * self.parents_size):
+            block_rows = rows[start:stop]
+            best_count = self.best_count[block_rows]
+            deviating = self.branch - best_count
+            # (block row, suspect label) pairs, grouped by block row.
+            pairs = [(b, label) for b in range(stop - start)
+                     for label in suspect_sets[start + b]]
+            if pairs:
+                owners, labels = np.asarray(pairs, dtype=np.int64).T
+                deviates = self.child_mask[labels] & (
+                    self.claims[self.row_of[block_rows[owners], labels]]
+                    != self.best[block_rows[owners]])
+                bounds = np.flatnonzero(np.diff(owners, prepend=-1)).tolist()
+                for lo, hi in zip(bounds, bounds[1:] + [len(pairs)]):
+                    deviating[owners[lo]] -= deviates[lo:hi].view(
+                        np.uint8).sum(axis=0, dtype=self._dtype)
+            fire = ((best_count <= self.branch // 2)
+                    | (deviating > budgets[start:stop, None]))
+            for b in np.flatnonzero(fire.any(axis=1)).tolist():
+                fired[start + b] = np.flatnonzero(fire[b]).tolist()
+        return fired
+
+    def mask_senders(self, i: int, senders) -> int:
+        """Mask *senders* for row *i*; returns the child slots rewritten."""
+        rewritten = 0
+        for pid in senders:
+            routed = self.row_of[i, pid]
+            if routed != self.default_row:
+                for hit, counts in zip(self._hits, self.counts):
+                    counts[i] -= hit[routed] & self.child_mask[pid]
+                self.row_of[i, pid] = self.default_row
+                self._stale.add(i)
+            rewritten += self.slot_counts[pid]
+        return rewritten
+
+    def vote(self, conversion: str, t: int):
+        """Every row's converted ``(rows, parents)`` codes of the parent level.
+
+        ``resolve`` keeps a strict majority (default otherwise);
+        ``resolve'`` keeps the unique code held by at least ``t + 1``
+        children (``⊥`` otherwise).
+        """
+        from .npsupport import (BOTTOM_CODE, DEFAULT_CODE, require_numpy,
+                                row_blocks)
+        np = require_numpy()
+        self._rank()
+        rows = self.counts.shape[1]
+        out = np.empty((rows, self.parents_size), dtype=self.claims.dtype)
+        threshold = t + 1
+        for start, stop in row_blocks(rows, self.branch * self.parents_size):
+            if conversion == "resolve":
+                out[start:stop] = np.where(
+                    self.best_count[start:stop] > self.branch // 2,
+                    self.best[start:stop], DEFAULT_CODE)
+                continue
+            block = self.counts[:, start:stop]
+            default_count = self.branch - block.sum(axis=0, dtype=self._dtype)
+            reached = default_count >= threshold
+            winners = reached.astype(np.int64)
+            winner = np.where(reached, DEFAULT_CODE, BOTTOM_CODE)
+            for code, count in zip(self.codes, block):
+                reached = count >= threshold
+                winners += reached
+                winner[reached] = code
+            out[start:stop] = np.where(winners == 1, winner, BOTTOM_CODE)
+        return out
+
+
 def discover_and_mask_batched(state, level: int,
                               trackers: List[FaultTracker],
                               round_number: int, meters,
-                              masked_value: Value = DEFAULT_VALUE
+                              counts: "ChildCounts" = None
                               ) -> List[Set[ProcessorId]]:
     """Whole-run fixpoint of batched discovery and row-slice masking.
 
     2-D twin of :func:`_discover_and_mask_numpy`: per fixpoint iteration one
-    ``bincount`` trigger kernel covers every still-active participant, then
-    the per-label scan, tracker updates, slot masking, and meter charges run
-    row by row exactly as the per-processor pass would.  A participant whose
-    scan finds nothing fresh is deactivated — its row can no longer change
-    (masking only rewrites the owner's row) — which reproduces the
-    per-processor fixpoint's termination and charge accounting verbatim.
-    Returns the per-participant sets of newly discovered processors.
+    trigger kernel covers every still-active participant, then the per-label
+    scan, tracker updates, masking, and meter charges run row by row exactly
+    as the per-processor pass would.  A participant whose scan finds nothing
+    fresh is deactivated — its row can no longer change (masking only
+    rewrites the owner's row) — which reproduces the per-processor
+    fixpoint's termination and charge accounting verbatim.  *level* is the
+    stacked level of *state*, or — given *counts*, its
+    :class:`ChildCounts` — the level below the stored ones, which is then
+    never gathered.  Returns the per-participant sets of newly discovered
+    processors.
     """
-    from .fault_discovery import (_scan_fired_labels, batched_fired_ids,
-                                  quiet_scan_charge)
-    from .npsupport import VALUE_CODEC, require_numpy
-    np = require_numpy()
+    from .fault_discovery import _scan_fired_labels, quiet_scan_charge
     count = state.count
     newly: List[Set[ProcessorId]] = [set() for _ in range(count)]
-    if level < 2 or level > state.num_levels:
-        return newly
+    if counts is None:
+        if level < 2 or level > state.num_levels:
+            return newly
+        source = _StackedLevel(state, level)
+    else:
+        source = counts
     index = state.index
-    child_stack = state.raw_stack(level)
-    branch = index.branch(level - 1)
-    parents_size = index.level_size(level - 1)
-    slots_table = index.slots_np(level)
-    masked_code = VALUE_CODEC.code(masked_value)
+    branch = source.branch
+    parents_size = source.parents_size
     # Batched levels are stored whole (the BatchedEIGState invariant), so the
     # per-processor kernels' MISSING-substitution and parent-presence passes
     # are no-ops here and every parent is examined.
     active = list(range(count))
     while active:
-        rows = child_stack[active] if len(active) < count else child_stack
         budgets = []
         suspect_sets = []
         for i in active:
             suspects = trackers[i].suspects
             suspect_sets.append(suspects)
             budgets.append(trackers[i].t - len(suspects))
-        fired = batched_fired_ids(rows, parents_size, branch, index, level,
-                                  suspect_sets, budgets, len(VALUE_CODEC))
+        fired = source.fired_ids(active, suspect_sets, budgets)
         still_active = []
         for k, i in enumerate(active):
             tracker = trackers[i]
@@ -265,16 +485,7 @@ def discover_and_mask_batched(state, level: int,
                 continue
             tracker.add_all(fresh, round_number)
             newly[i] |= fresh
-            row = child_stack[i]
-            rewritten = 0
-            for pid in fresh:
-                entry = slots_table.get(pid)
-                if entry is None:
-                    continue
-                slots = entry[0]
-                row[slots] = masked_code
-                rewritten += int(slots.size)
-            meters[i].charge(rewritten)
+            meters[i].charge(source.mask_senders(i, fresh))
             still_active.append(i)
         active = still_active
     return newly

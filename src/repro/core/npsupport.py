@@ -83,8 +83,9 @@ CODE_DTYPE_NAME = "int32"
 #: Below this many stacked elements the batched kernels switch to their
 #: scalar (pure-python) paths: ndarray call overhead dominates tiny levels —
 #: the very regime the batched executor exists to win.  Shared by the
-#: trigger, vote, and claim-routing fast paths so the crossover is tuned in
-#: one place.
+#: trigger, vote, and claim-routing fast paths, and scaled by the choice to
+#: gather (rather than count) a conversion level, so the crossover is tuned
+#: in one place.
 SMALL_KERNEL_ELEMENTS = 512
 
 #: Element budget of one row block of the whole-stack batched kernels
@@ -162,54 +163,18 @@ class ValueCodec:
             mask[code] = True
         return mask
 
-    # -- cross-process synchronisation ---------------------------------------
-    def snapshot(self, start: int = 1) -> List[Value]:
-        """The interned values of codes ``[start, len)``, in code order.
-
-        The sharded run executor ships these slices to its worker processes,
-        whose codecs replay them with :meth:`adopt` so that code ndarrays
-        serialized on one side decode identically on the other.
-        """
-        return list(self._value_of[start:])
-
-    def adopt(self, values, start: int) -> None:
-        """Replay a peer codec's :meth:`snapshot` slice beginning at *start*.
-
-        The codec is append-only and interns in first-seen order, so a fresh
-        (or fork-inherited) codec that adopts every slice a peer sends, in
-        order, assigns byte-identical codes.  A mismatch means the two sides
-        interned values independently — a protocol bug — and raises rather
-        than silently decoding garbage.
-        """
-        for offset, value in enumerate(values):
-            expected = start + offset
-            if expected < len(self._value_of):
-                if self._value_of[expected] == value:
-                    continue
-                raise RuntimeError(
-                    f"value codec desync: code {expected} is "
-                    f"{self._value_of[expected]!r} here but {value!r} on the "
-                    f"peer")
-            code = self.code(value)
-            if code != expected:
-                raise RuntimeError(
-                    f"value codec desync: {value!r} interned as code {code}, "
-                    f"peer expected {expected}")
-
 
 #: The process-wide codec shared by every numpy-engine tree and message.
 VALUE_CODEC = ValueCodec()
 
 
 def shard_bounds(count: int, shards: int) -> List[tuple]:
-    """Balanced contiguous ``[start, stop)`` row ranges for a sharded run.
+    """Balanced contiguous ``[start, stop)`` row ranges: :func:`row_blocks`' split.
 
     Splits *count* stacked rows into at most *shards* non-empty slices whose
-    sizes differ by at most one — the partition the sharded run executor uses
-    to hand each worker process a contiguous block of a
-    :class:`BatchedEIGState` row stack.  Row order (participants first, then
-    shadow rows) is preserved, so global row indices are
-    ``range(start, stop)`` for each bound.
+    sizes differ by at most one.  Row order (participants first, then shadow
+    rows) is preserved, so global row indices are ``range(start, stop)`` for
+    each bound.
     """
     if count <= 0 or shards <= 0:
         return []

@@ -280,7 +280,7 @@ def numpy_resolve_levels(tree, conversion: str, t: int) -> List[object]:
     return levels
 
 
-def batched_resolve_levels(state, conversion: str, t: int):
+def batched_resolve_levels(state, conversion: str, t: int, bottom=None):
     """Whole-run conversion: :func:`numpy_resolve_levels` over stacked levels.
 
     *state* is a :class:`~repro.core.npsupport.BatchedEIGState`; every
@@ -292,6 +292,11 @@ def batched_resolve_levels(state, conversion: str, t: int):
     ``(participants, level_size)`` converted code stack of level ``ℓ`` and the
     charge equals what :func:`numpy_resolve_levels` bills one processor (the
     caller charges each participant's meter).
+
+    With *bottom* — the :class:`~repro.core.fault_masking.ChildCounts` of a
+    leaf level below the stored ones, never gathered — the deepest stored
+    level takes that leaf level's vote, and ``levels`` ends with ``None``
+    in place of the leaves.
     """
     from .npsupport import (SMALL_KERNEL_ELEMENTS, VALUE_CODEC,
                             require_numpy, row_blocks)
@@ -303,12 +308,18 @@ def batched_resolve_levels(state, conversion: str, t: int):
         raise KeyError("cannot resolve an empty tree")
     index = state.index
     count = state.count
-    # Batched levels are stored whole (the BatchedEIGState invariant), so
-    # the leaves resolve to themselves — no MISSING substitution pass.
-    leaf_stack = state.raw_stack(height)
-    levels: List[object] = [None] * height
-    levels[height - 1] = leaf_stack
-    charge = 2 * index.level_size(height)
+    if bottom is None:
+        # Batched levels are stored whole (the BatchedEIGState invariant),
+        # so the leaves resolve to themselves — no MISSING substitution pass.
+        levels: List[object] = [None] * height
+        levels[height - 1] = state.raw_stack(height)
+        charge = 2 * index.level_size(height)
+    else:
+        leaves = bottom.parents_size * bottom.branch
+        levels = [None] * (height + 1)
+        levels[height - 1] = bottom.vote(conversion, t)
+        # Two units per leaf, plus one per child of every bottom parent.
+        charge = 3 * leaves
     majority = conversion == "resolve"
     threshold = t + 1
     num_codes = len(VALUE_CODEC)

@@ -292,6 +292,33 @@ class SequenceIndex:
             self._np_tables[("parents", level)] = cached
         return cached
 
+    def child_mask_np(self, parent_level: int):
+        """``mask[c, p]``: whether label ``c`` names a child of node ``p``.
+
+        A ``(n, level_size(parent_level))`` bool ndarray over the nodes of
+        *parent_level* — ``c ∉ seq(p)`` without repetitions, every label
+        with them — read off the parent level's ancestry, so the child
+        level's own tables are never built.  The batched executor counts a
+        conversion level's children through it instead of gathering them
+        (:class:`~repro.core.fault_masking.ChildCounts`).  Labels are the
+        processor ids ``0 … n − 1``; cached once per level per shape.
+        """
+        cached = self._np_tables.get(("child_mask", parent_level))
+        if cached is None:
+            from .npsupport import require_numpy
+            np = require_numpy()
+            size = self.level_size(parent_level)
+            cached = np.ones((self.n, size), dtype=bool)
+            if not self.allow_repetitions:
+                columns = np.arange(size, dtype=np.int64)
+                ancestors = columns.copy()
+                for level in range(parent_level, 0, -1):
+                    cached[self.last_labels_np(level)[ancestors], columns] = False
+                    if level > 1:
+                        ancestors //= self.branch(level - 1)
+            self._np_tables[("child_mask", parent_level)] = cached
+        return cached
+
     def ids_by_label_py(self, level: int) -> Dict[ProcessorId, List[int]]:
         """Label → ascending list of the *level* node-ids ending in that label.
 

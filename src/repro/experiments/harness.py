@@ -15,7 +15,7 @@ backend of :mod:`repro.api.executors`), so the (spec, scenario) cells run in
 parallel over the process pool **and** the eligible EIG cells (Exponential,
 Algorithms A and B) take the whole-run batched executor inside their workers
 — the two speedups compound.  :func:`run_cells` additionally accepts an
-explicit executor (e.g. ``"sharded"`` for large-``n`` grids).  Callers that
+explicit executor (e.g. ``"supervised"`` for a resilient grid).  Callers that
 pass hand-built :class:`~repro.experiments.workloads.Scenario` objects
 (whose adversary factories cannot be named in a request) keep the in-process
 path.
@@ -523,7 +523,7 @@ def run_cells(cells: Sequence[ExperimentCell], parallel: bool = True,
     each worker, the eligible EIG cells additionally step all their
     processors per round as whole-run batched kernels.  Pass an explicit
     *executor* (an :class:`~repro.api.executors.Executor` instance or
-    registry name such as ``"sharded"``) to place the whole grid on another
+    registry name such as ``"supervised"``) to place the whole grid on another
     backend, or an explicit *engine* name to pin every cell
     (``"fast"``/``"reference"`` for oracle sweeps).
     """

@@ -23,7 +23,7 @@ from .base import Rule, contains_raise
 #: a structured record (trail entry, metric, response body).
 FAILSTOP_ERRORS = frozenset({
     "FabricError", "WorkerDiedError", "WorkerTimeoutError",
-    "WorkerShutdownError", "CheckpointWriteError",
+    "CheckpointWriteError",
     "SupervisionExhaustedError",
 })
 

@@ -7,7 +7,7 @@ from .chaos import (ChaosController, ChaosPolicy, FaultInjection, build_chaos,
 from .errors import (AdversaryError, CheckpointWriteError, ConfigurationError,
                      FabricError, ProtocolViolationError, ReproError,
                      SimulationError, SupervisionExhaustedError,
-                     WorkerDiedError, WorkerShutdownError, WorkerTimeoutError)
+                     WorkerDiedError, WorkerTimeoutError)
 from .messages import Inbox, Message, Outbox, broadcast
 from .metrics import ComputationMeter, CostModelPoint, RunMetrics, entry_bits
 from .network import SynchronousNetwork
@@ -24,7 +24,6 @@ __all__ = [
     "FabricError",
     "WorkerDiedError",
     "WorkerTimeoutError",
-    "WorkerShutdownError",
     "CheckpointWriteError",
     "SupervisionExhaustedError",
     "RetryPolicy",

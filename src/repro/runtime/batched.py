@@ -57,10 +57,12 @@ numpy-less environment).
 The gather, trigger, and conversion kernels step each level stack in
 contiguous, cache-sized row blocks
 (:func:`~repro.core.npsupport.row_blocks`), so a large-``n`` run never
-builds a temporary over its whole stack.  :mod:`repro.runtime.sharding`
-splits this run's row stack across worker processes to use more than one
-CPU (the coordinator subclasses :class:`_BatchedRun`, keeping the adversary
-plumbing here authoritative).
+builds a temporary over its whole stack.  The level a conversion consumes is
+never gathered at all: the round that ends an EIG segment counts each
+parent's child values straight from the claims
+(:class:`~repro.core.fault_masking.ChildCounts`), and the discovery fixpoint,
+the bottom conversion vote, and the conversion-discovery triggers read the
+counts.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from ..core.algorithm_c import AlgorithmCProcessor, shift_intermediate_codes
 from ..core.engine import NUMPY, numpy_available, use_engine
 from ..core.fault_discovery import (FaultTracker,
                                     discover_during_conversion_batched)
-from ..core.fault_masking import (discover_and_mask_batched,
+from ..core.fault_masking import (ChildCounts, discover_and_mask_batched,
                                   gather_level_batched)
 from ..core.hybrid import HybridProcessor, hybrid_schedule
 from ..core.resolve import batched_resolve_levels
@@ -315,49 +317,6 @@ class _ShadowProcessor:
             f"(the per-processor driver builds full protocol machines)")
 
 
-def convert_stacked_rows(state, segment, t: int, trackers, meters,
-                         discovery_logs, main_indices, decision_pids,
-                         decisions, round_number: int, total_rounds: int,
-                         enable_fault_discovery: bool) -> None:
-    """Shift a whole row stack back to fresh roots: one conversion pass.
-
-    The resolve votes, the Fault Discovery Rule During Conversion, the
-    ``shift_{k→1}`` reset, the final-round decisions, and the exact
-    per-processor meter charges live here **once**, shared by the
-    single-process batched run and the sharded workers — their parity is
-    structural, not maintained by hand.  All row-indexed sequences
-    (*trackers*, *meters*, *discovery_logs*, *decision_pids*) align with
-    *state*'s rows; *main_indices* lists the rows that belong to correct
-    participants (shadow rows ride along charging the callers' shared
-    sink), and at the final round ``decisions[decision_pids[i]]`` receives
-    row *i*'s decided value.
-    """
-    from ..core.npsupport import (BOTTOM_CODE, DEFAULT_CODE, VALUE_CODEC,
-                                  require_numpy)
-    np = require_numpy()
-    levels, charge = batched_resolve_levels(state, segment.conversion, t)
-    for i in main_indices:
-        meters[i].charge(charge)
-    if segment.conversion_discovery and enable_fault_discovery:
-        fresh_sets = discover_during_conversion_batched(
-            state.index, levels, state.num_levels,
-            [tracker.suspects for tracker in trackers], t, meters)
-        main_set = set(main_indices)
-        for i, fresh in enumerate(fresh_sets):
-            added = trackers[i].add_all(fresh, round_number)
-            if added and i in main_set:
-                log = discovery_logs[i]
-                log[round_number] = log.get(round_number, 0) + len(added)
-    roots = levels[0][:, 0]
-    roots = np.where(roots == BOTTOM_CODE, DEFAULT_CODE, roots)
-    state.reset_to_roots(roots)
-    for i in main_indices:
-        meters[i].charge()  # reset_to_root stores one node
-    if round_number == total_rounds:
-        for i in main_indices:
-            decisions[decision_pids[i]] = VALUE_CODEC.value(int(roots[i]))
-
-
 class _BatchedRun:
     """One batched execution (see the module docstring)."""
 
@@ -469,20 +428,7 @@ class _BatchedRun:
         return self._build_result()
 
     def _build_result(self) -> "RunResult":
-        """Collect the per-participant observations held by this process."""
-        return self._assemble_result(
-            [(tuple(sorted(self.trackers[i].suspects)),
-              dict(self.discovery_logs[i]),
-              self.meters[i].units)
-             for i in range(self.main_count)])
-
-    def _assemble_result(self, per_participant) -> "RunResult":
-        """Build the :class:`RunResult` from ``(suspects, log, units)`` rows.
-
-        *per_participant* is aligned with :attr:`participants`; the sharded
-        coordinator feeds it rows gathered from worker processes, the
-        single-process run feeds it its own trackers/meters.
-        """
+        """Collect the per-participant observations into a :class:`RunResult`."""
         from .simulation import RunResult
         discovered: Dict[ProcessorId, Tuple[ProcessorId, ...]] = {}
         discovery_logs: Dict[ProcessorId, Dict[int, int]] = {}
@@ -493,10 +439,9 @@ class _BatchedRun:
             self.metrics.record_computation(source, self.source_units)
             self.metrics.record_discoveries(source, 0)
         for i, pid in enumerate(self.participants):
-            suspects, log, units = per_participant[i]
-            discovered[pid] = tuple(suspects)
-            discovery_logs[pid] = dict(log)
-            self.metrics.record_computation(pid, units)
+            discovered[pid] = tuple(sorted(self.trackers[i].suspects))
+            discovery_logs[pid] = dict(self.discovery_logs[i])
+            self.metrics.record_computation(pid, self.meters[i].units)
             self.metrics.record_discoveries(pid, len(discovered[pid]))
         return RunResult(
             protocol=self.spec.name,
@@ -597,11 +542,21 @@ class _BatchedRun:
                                  local_round)
 
     def _round(self, round_number: int) -> None:
-        messages = self._round_broadcasts(round_number, self.state.num_levels)
-        faulty_outboxes = self._gather_round(round_number, messages)
+        from ..core import npsupport
+        prev_level = self.state.num_levels
+        messages = self._round_broadcasts(round_number, prev_level)
         segment = self.segment_ends.get(round_number)
+        # The level a conversion consumes is counted, not gathered — unless
+        # its stack is small: below 16× the scalar crossover the count
+        # kernel's extra ndarray calls cost more than the gather and the
+        # stack votes they replace.
+        leaves = (self.count * self.index.level_size(prev_level)
+                  * self.index.branch(prev_level))
+        faulty_outboxes, counts = self._gather_round(
+            round_number, messages, counted=segment is not None
+            and leaves > 16 * npsupport.SMALL_KERNEL_ELEMENTS)
         if segment is not None:
-            self._convert(round_number, segment)
+            self._convert(round_number, segment, counts)
         self._observe_delivery(round_number, messages, faulty_outboxes)
         self._corrupt(round_number)
 
@@ -620,7 +575,7 @@ class _BatchedRun:
             pid: None for pid in self.correct}
         for i, pid in enumerate(self.participants):
             messages[pid] = self.relay_message(i, pid, round_number)
-        faulty_outboxes = self._gather_round(round_number, messages)
+        faulty_outboxes, _ = self._gather_round(round_number, messages)
         if self.state.num_levels == 3:
             self._shift_intermediate()
         if round_number == self.total_rounds:
@@ -680,13 +635,18 @@ class _BatchedRun:
                 int(roots[i]))
 
     def _gather_round(self, round_number: int,
-                      messages: Dict[ProcessorId, Optional[Message]]
-                      ) -> Dict[ProcessorId, Outbox]:
-        """Deliver one round into every row; returns the faulty outboxes.
+                      messages: Dict[ProcessorId, Optional[Message]],
+                      counted: bool = False
+                      ) -> Tuple[Dict[ProcessorId, Outbox],
+                                 Optional[ChildCounts]]:
+        """Deliver one round into every row.
 
         Collects the adversary's messages against the correct *messages*,
         records the round's message metrics, gathers the new level, and runs
-        the Fault Discovery/Masking fixpoint over it.
+        the Fault Discovery/Masking fixpoint over it.  A *counted* level —
+        the one a conversion consumes — is counted instead of gathered.
+        Returns the faulty outboxes and the level's counts (``None`` when it
+        was gathered).
         """
         np = self.np
         prev_level = self.state.num_levels
@@ -756,15 +716,22 @@ class _BatchedRun:
         else:
             claims = np.concatenate([prev_stack, default_row])
 
-        gather_level_batched(self.state, level, claims, row_of,
-                             self.domain_mask())
-        level_size = self.index.level_size(level)
-        slots_table = self.index.slots_np(level)
+        # Each participant pays what gather_level_numpy charges: one unit per
+        # stored node plus the echo pass over its own label's slots.
+        counts = None
+        if counted:
+            counts = ChildCounts(self.index, prev_level, claims, row_of,
+                                 default_idx, self.domain_mask())
+            level_size = counts.parents_size * counts.branch
+            own_slots = [counts.slot_counts[pid] for pid in self.participants]
+        else:
+            gather_level_batched(self.state, level, claims, row_of,
+                                 self.domain_mask())
+            level_size = self.index.level_size(level)
+            slots_table = self.index.slots_np(level)
+            own_slots = [len(slots_table[pid][0]) for pid in self.participants]
         for i in range(self.main_count):
-            # append (one unit per node) + the echo pass over the own-label
-            # slots — the exact gather_level_numpy charges.
-            self.meters[i].charge(level_size
-                                  + len(slots_table[self.row_pids[i]][0]))
+            self.meters[i].charge(level_size + own_slots[i])
         if self.index.allow_repetitions:
             # Algorithm C's silent-source substitution echoes too.
             source = self.config.source
@@ -776,13 +743,13 @@ class _BatchedRun:
         if self.enable_fault_discovery:
             newly = discover_and_mask_batched(self.state, level,
                                               self.trackers, round_number,
-                                              self.meters)
+                                              self.meters, counts=counts)
             for i in range(self.main_count):
                 if newly[i]:
                     log = self.discovery_logs[i]
                     log[round_number] = (log.get(round_number, 0)
                                         + len(newly[i]))
-        return faulty_outboxes
+        return faulty_outboxes, counts
 
     def _corrupt(self, round_number: int) -> None:
         """Run the adversary's state-corruption hook over the main rows.
@@ -807,12 +774,39 @@ class _BatchedRun:
                  for i, pid in enumerate(self.participants)}
         self.adversary.corrupt_state(round_number, views)
 
-    def _convert(self, round_number: int, segment) -> None:
-        convert_stacked_rows(
-            self.state, segment, self.config.t, self.trackers, self.meters,
-            self.discovery_logs, range(self.main_count), self.participants,
-            self.decisions, round_number, self.total_rounds,
-            self.enable_fault_discovery)
+    def _convert(self, round_number: int, segment,
+                 counts: Optional[ChildCounts]) -> None:
+        """``shift_{k→1}`` for every row, from the leaf *counts* if counted.
+
+        The resolve votes, the Fault Discovery Rule During Conversion, the
+        reset to fresh roots, the final-round decisions, and the exact
+        per-processor meter charges.  Shadow rows ride along, charging the
+        shared sink.
+        """
+        from ..core.npsupport import BOTTOM_CODE, DEFAULT_CODE
+        t = self.config.t
+        levels, charge = batched_resolve_levels(self.state, segment.conversion,
+                                                t, bottom=counts)
+        for i in range(self.main_count):
+            self.meters[i].charge(charge)
+        if segment.conversion_discovery and self.enable_fault_discovery:
+            fresh_sets = discover_during_conversion_batched(
+                self.index, levels, len(levels),
+                [tracker.suspects for tracker in self.trackers], t,
+                self.meters, bottom=counts)
+            for i, fresh in enumerate(fresh_sets):
+                added = self.trackers[i].add_all(fresh, round_number)
+                if added and i < self.main_count:
+                    log = self.discovery_logs[i]
+                    log[round_number] = log.get(round_number, 0) + len(added)
+        roots = levels[0][:, 0]
+        roots = self.np.where(roots == BOTTOM_CODE, DEFAULT_CODE, roots)
+        self.state.reset_to_roots(roots)
+        for i in range(self.main_count):
+            self.meters[i].charge()  # reset_to_root stores one node
+        if round_number == self.total_rounds:
+            for i, pid in enumerate(self.participants):
+                self.decisions[pid] = self.codec.value(int(roots[i]))
 
     # -- adversary plumbing -----------------------------------------------------
     def _faulty_outboxes(self, round_number: int,

@@ -3,8 +3,8 @@
 The fault-model zoo (:mod:`repro.adversary`) attacks the *protocol*; this
 module attacks the *substrate* the protocol runs on.  A
 :class:`ChaosPolicy` is a JSON-round-trippable schedule of infrastructure
-faults — worker kills and hangs, pipe closes and corruptions, slow shards,
-checkpoint write failures — that the executor layer injects at well-defined
+faults — pool worker kills, checkpoint, cache and journal write failures,
+serve worker deaths — that the executor layer injects at well-defined
 points, so the supervision machinery
 (:mod:`repro.runtime.supervision`) can be exercised deterministically:
 property tests assert that every schedule the fabric is specified to
@@ -16,22 +16,6 @@ Fault kinds and where they fire
 =====================  ==================  =====================================
 kind                   site                effect
 =====================  ==================  =====================================
-``worker-kill``        ``shard-round``     the targeted shard worker hard-exits
-                                           at the start of the targeted round
-                                           (shard 0 — the coordinator-local
-                                           block — raises
-                                           :class:`~repro.runtime.errors.WorkerDiedError`
-                                           instead of killing the coordinator)
-``worker-hang``        ``shard-round``     the worker sleeps ``delay`` seconds —
-                                           pick ``delay`` past the supervisor's
-                                           deadline to simulate a hang
-``slow-shard``         ``shard-round``     the worker sleeps ``delay`` seconds
-                                           but stays inside the deadline
-``pipe-close``         ``shard-send``      the coordinator's pipe to the shard
-                                           closes just before the round payload
-                                           ships
-``pipe-corrupt``       ``shard-send``      the round payload is replaced with
-                                           garbage the worker cannot interpret
 ``checkpoint-write-fail``  ``checkpoint-write``  the Nth checkpoint append
                                            raises :class:`OSError`
 ``pool-worker-kill``   ``pool-request``    the pool worker executing the
@@ -56,15 +40,14 @@ kind                   site                effect
 
 Activation is ambient: :func:`chaos_scope` installs a
 :class:`ChaosController` for the dynamic extent of a sweep or executor, and
-the injection points (:mod:`repro.runtime.sharding`, :mod:`repro.api.sweep`,
-:mod:`repro.api.executors`, and the serving layer :mod:`repro.serve`)
-consult :func:`current_chaos`.  Each injection
-fires a bounded number of ``times`` (default once) and every firing is
-recorded on the controller, so a schedule is a *deterministic* function of
-the execution it perturbs — no randomness, no wall-clock coupling.  Worker-
-side faults are claimed by the coordinator at spawn time and shipped to the
-worker as plain data, which is what makes "fire once, then the retry runs
-clean" hold across process boundaries.
+the injection points (:mod:`repro.api.sweep`, :mod:`repro.api.executors`,
+and the serving layer :mod:`repro.serve`) consult :func:`current_chaos`.
+Each injection fires a bounded number of ``times`` (default once) and every
+firing is recorded on the controller, so a schedule is a *deterministic*
+function of the execution it perturbs — no randomness, no wall-clock
+coupling.  A pool worker kill is claimed in the parent when the request is
+submitted, which is what makes "fire once, then the retry runs clean" hold
+across process boundaries.
 """
 
 from __future__ import annotations
@@ -78,11 +61,6 @@ from .errors import ConfigurationError
 
 #: Every injectable fault kind, mapped to the site where it fires.
 KIND_SITES: Dict[str, str] = {
-    "worker-kill": "shard-round",
-    "worker-hang": "shard-round",
-    "slow-shard": "shard-round",
-    "pipe-close": "shard-send",
-    "pipe-corrupt": "shard-send",
     "checkpoint-write-fail": "checkpoint-write",
     "pool-worker-kill": "pool-request",
     "cache-write-fail": "cache-write",
@@ -90,27 +68,17 @@ KIND_SITES: Dict[str, str] = {
     "serve-worker-death": "serve-job",
 }
 
-#: Kinds the coordinator ships into shard workers (fired worker-side).
-WORKER_KINDS = ("worker-kill", "worker-hang", "slow-shard")
-
-#: Kinds that require a positive ``delay``.
-_TIMED_KINDS = ("worker-hang", "slow-shard")
-
 
 @dataclass(frozen=True)
 class FaultInjection:
     """One scheduled infrastructure fault.
 
-    ``shard``/``round``/``index`` narrow where the fault fires (``None`` is
-    a wildcard), ``delay`` is the sleep for timed kinds, and ``times`` caps
-    how often the injection fires before it is spent.
+    ``index`` narrows where the fault fires (``None`` is a wildcard), and
+    ``times`` caps how often the injection fires before it is spent.
     """
 
     kind: str
-    shard: Optional[int] = None
-    round: Optional[int] = None
     index: Optional[int] = None
-    delay: float = 0.0
     times: int = 1
 
     def __post_init__(self) -> None:
@@ -121,13 +89,6 @@ class FaultInjection:
         if self.times < 1:
             raise ConfigurationError(
                 f"a chaos fault fires at least once, got times={self.times}")
-        if self.kind in _TIMED_KINDS and not self.delay > 0:
-            raise ConfigurationError(
-                f"{self.kind} needs a positive delay (seconds); "
-                f"got {self.delay!r}")
-        if self.delay < 0:
-            raise ConfigurationError(
-                f"a chaos delay cannot be negative, got {self.delay!r}")
 
     @property
     def site(self) -> str:
@@ -135,12 +96,8 @@ class FaultInjection:
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {"kind": self.kind}
-        for name in ("shard", "round", "index"):
-            value = getattr(self, name)
-            if value is not None:
-                data[name] = value
-        if self.delay:
-            data["delay"] = self.delay
+        if self.index is not None:
+            data["index"] = self.index
         if self.times != 1:
             data["times"] = self.times
         return data
@@ -285,22 +242,6 @@ class ChaosController:
             if self._remaining[position] > 0 and self._matches(fault, site,
                                                                coords):
                 taken.append(self._claim(position, site, coords))
-        return taken
-
-    def take_for_shard(self, shard: int) -> List[Dict[str, Any]]:
-        """Claim the worker-side faults for *shard*, as shippable plain data.
-
-        Claimed at spawn time — the worker fires each entry once at its
-        matching round — so a supervised retry that respawns the worker sees
-        them spent and runs clean.
-        """
-        taken = []
-        for position, fault in enumerate(self.policy.faults):
-            if (self._remaining[position] > 0
-                    and fault.kind in WORKER_KINDS
-                    and fault.shard in (None, shard)):
-                taken.append(self._claim(position, "shard-round",
-                                         {"shard": shard}).to_dict())
         return taken
 
     def live_faults(self) -> List[FaultInjection]:

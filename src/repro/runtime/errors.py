@@ -45,20 +45,15 @@ class FabricError(ReproError):
 
 
 class WorkerDiedError(FabricError, SimulationError):
-    """A worker process died or its pipe closed mid-run.
+    """A worker process died mid-run.
 
-    Also a :class:`SimulationError` for compatibility: the sharded
-    coordinator historically surfaced worker death as a plain simulation
-    failure, and callers catching that still do the right thing.
+    Also a :class:`SimulationError` for compatibility: callers that catch
+    worker death as a plain simulation failure still do the right thing.
     """
 
 
 class WorkerTimeoutError(FabricError):
     """A worker missed its reply deadline (hung, or pathologically slow)."""
-
-
-class WorkerShutdownError(FabricError):
-    """A worker survived the full ``join -> terminate -> kill`` escalation."""
 
 
 class CheckpointWriteError(FabricError):

@@ -7,7 +7,7 @@ that recovery machinery for the execution fabric: a
 **pure function** of a seed key and the attempt number — so a supervised
 run is still a deterministic function of ``(request, seed)`` — and a
 :class:`Supervisor` that walks a *degradation ladder* of execution rungs
-(e.g. ``sharded → batched → pool → serial``), retrying each rung a bounded
+(e.g. ``batched → pool → serial``), retrying each rung a bounded
 number of times before downgrading to the next, and recording every retry,
 downgrade, and skip as a structured audit trail.
 
@@ -16,20 +16,20 @@ reports resilience events — the supervised executor, the pool executor's
 broken-pool recovery, and the sweep checkpoint writer — and end up in
 ``RunReport.metadata["resilience"]``:
 
-``{"event": "retry", "stage": "sharded", "attempt": 1,
+``{"event": "retry", "stage": "pool", "attempt": 1,
    "error": "WorkerDiedError", "detail": "...", "delay": 0.05}``
     one failed attempt, retried on the same rung after ``delay`` seconds;
-``{"event": "downgrade", "from": "sharded", "to": "batched",
+``{"event": "downgrade", "from": "pool", "to": "serial",
    "error": "WorkerTimeoutError", "detail": "..."}``
     a rung's retry budget is spent, the ladder steps down;
-``{"event": "skip", "stage": "sharded", "reason": "..."}``
-    a rung does not apply to this run (e.g. batched-ineligible);
+``{"event": "skip", "stage": "pool", "reason": "..."}``
+    a rung does not apply to this run (e.g. no process pool here);
 ``{"event": "completed", "stage": "batched", "attempt": 1}``
     the rung that finally produced the report.
 
 A trail is reported only when something actually *failed* (a retry or a
-downgrade happened); rungs that merely did not apply — the sharded rung on
-a numpy-less interpreter, say — are an environment property, not a
+downgrade happened); rungs that merely did not apply — the pool rung on a
+platform that cannot spawn processes, say — are an environment property, not a
 recovery, so such runs are undisturbed and carry no metadata at all.
 
 What counts as *recoverable* is deliberately narrow: fabric failures
@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from .errors import FabricError, SimulationError, SupervisionExhaustedError
 
 #: The default degradation ladder, most capable rung first.
-DEFAULT_LADDER: Tuple[str, ...] = ("sharded", "batched", "pool", "serial")
+DEFAULT_LADDER: Tuple[str, ...] = ("batched", "pool", "serial")
 
 #: Exception types a supervisor retries / downgrades around.
 RECOVERABLE: Tuple[type, ...] = (FabricError, SimulationError,
@@ -202,7 +202,7 @@ class Supervisor:
                         trail.append(completed_event(stage, attempt))
                         return result, trail
                     # Nothing actually *failed*: rungs that merely did not
-                    # apply (e.g. sharded without numpy) are an environment
+                    # apply (e.g. pool without processes) are an environment
                     # property, not a recovery — the run is undisturbed and
                     # reports no trail at all.
                     return result, []

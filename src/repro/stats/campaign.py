@@ -234,7 +234,7 @@ def run_mc(spec: McSpec, checkpoint: Optional[str] = None,
     :class:`~repro.api.executors.Executor` instance or registry name);
     ``None`` builds the spec's own ``executor``/``executor_params``.  One
     executor instance is built for the whole campaign and reused across
-    chunks, so pool/sharded workers spawn once, not once per chunk.
+    chunks, so pool workers spawn once, not once per chunk.
 
     *max_chunks* bounds how many chunks this invocation executes — an
     operational aid for slicing very long campaigns across sessions (the

@@ -158,6 +158,31 @@ class TestRunRequestValidation:
         request = RunRequest(protocol="exponential", n=7, t=2, faulty=[6, 0])
         assert request.faulty == (0, 6)
 
+    @pytest.mark.parametrize("field, value", [
+        ("faulty", [2.7]), ("faulty", ["3"]), ("faulty", [True]),
+        ("faulty", 5), ("seed", "5"), ("seed", True), ("seed", 5.0),
+        ("source", 1.0), ("source", True), ("n", 7.0), ("t", "2")])
+    def test_malformed_integer_fields_are_named_errors(self, field, value):
+        """No coercion: 2.7, "3" or True is not a processor id or a seed."""
+        data = {"protocol": "exponential", "n": 7, "t": 2, field: value}
+        with pytest.raises(ConfigurationError, match=f"'{field}'"):
+            RunRequest.from_dict(data)
+
+    def test_duplicate_faulty_ids_rejected(self):
+        with pytest.raises(ConfigurationError, match="repeats"):
+            RunRequest(protocol="exponential", n=7, t=2, faulty=[1, 1])
+
+    def test_index_integers_normalise_to_int(self):
+        """Whatever operator.index accepts (bool aside) is a plain int, so
+        the digest of a numpy-int request equals the plain request's."""
+        np = pytest.importorskip("numpy")
+        request = RunRequest(protocol="exponential", n=np.int64(7), t=2,
+                             faulty=[np.int32(6), 0], seed=np.int64(5))
+        plain = RunRequest(protocol="exponential", n=7, t=2, faulty=[0, 6],
+                           seed=5)
+        assert request == plain
+        assert json.dumps(request.to_dict()) == json.dumps(plain.to_dict())
+
 
 @pytest.mark.parametrize("protocol", sorted(SMALL_INSTANCES))
 class TestRoundTripProperty:

@@ -1,35 +1,29 @@
 """Property tests for the infrastructure chaos harness (repro.runtime.chaos).
 
 The central property: for every fault schedule the fabric is specified to
-survive, the supervised run's report is **byte-identical** to an undisturbed
+survive, the recovered run's report is **byte-identical** to an undisturbed
 run (compared over :meth:`RunReport.outcome_dict` — the serialized outcome
 minus the execution-side engine/metadata fields) and the recovery is
 documented in ``metadata["resilience"]``.  Schedules the fabric is *not*
-specified to survive raise named errors within the deadline — never a hang.
+specified to survive raise named errors — never a hang.
 """
 
 import json
-import os
 import time
 
 import pytest
 
 from repro.api import (RunRequest, SweepSpec, execute, execute_resilient,
                        read_checkpoint, run_sweep)
-from repro.api.executors import PoolExecutor, ShardedRunExecutor
-from repro.core.engine import numpy_available
+from repro.api import executors
+from repro.api.executors import PoolExecutor
 from repro.runtime.chaos import (ChaosController, ChaosPolicy, FaultInjection,
                                  build_chaos, chaos_scope, current_chaos)
 from repro.runtime.errors import (CheckpointWriteError, ConfigurationError,
-                                  SupervisionExhaustedError, WorkerDiedError,
-                                  WorkerTimeoutError)
-
-needs_numpy = pytest.mark.skipif(not numpy_available(),
-                                 reason="numpy not installed")
+                                  SupervisionExhaustedError)
 
 #: Generous wall-clock ceiling: a hang trips the assert, recovery never does.
 _NO_HANG_SECONDS = 60.0
-
 
 def small_request(**overrides):
     fields = dict(protocol="exponential", n=7, t=2, initial_value=1,
@@ -55,37 +49,33 @@ class TestFaultInjection:
 
     def test_times_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="at least once"):
-            FaultInjection(kind="worker-kill", times=0)
-
-    def test_timed_kinds_need_a_delay(self):
-        with pytest.raises(ConfigurationError, match="positive delay"):
-            FaultInjection(kind="worker-hang")
-        FaultInjection(kind="worker-hang", delay=1.0)  # fine
+            FaultInjection(kind="pool-worker-kill", times=0)
 
     def test_round_trip_is_minimal(self):
-        fault = FaultInjection(kind="worker-kill", shard=1, round=2)
-        assert fault.to_dict() == {"kind": "worker-kill", "shard": 1,
-                                   "round": 2}
+        fault = FaultInjection(kind="pool-worker-kill", index=2)
+        assert fault.to_dict() == {"kind": "pool-worker-kill", "index": 2}
         assert FaultInjection.from_dict(fault.to_dict()) == fault
 
-    def test_unknown_field_rejected(self):
+    @pytest.mark.parametrize("field", ["cpu", "shard", "round", "delay"])
+    def test_unknown_field_rejected(self, field):
         with pytest.raises(ConfigurationError, match="unknown chaos fault"):
-            FaultInjection.from_dict({"kind": "worker-kill", "cpu": 3})
+            FaultInjection.from_dict({"kind": "pool-worker-kill", field: 3})
 
 
 class TestChaosPolicy:
     def test_policy_round_trips(self):
         policy = ChaosPolicy(name="torture", faults=(
-            FaultInjection(kind="worker-kill", shard=1),
-            FaultInjection(kind="slow-shard", delay=0.5, times=2)))
+            FaultInjection(kind="pool-worker-kill", index=1),
+            FaultInjection(kind="checkpoint-write-fail", times=2)))
         data = policy.to_dict()
         assert data["kind"] == "repro-chaos-policy"
         assert ChaosPolicy.from_dict(data) == policy
         assert ChaosPolicy.from_dict(json.loads(json.dumps(data))) == policy
 
     def test_bare_fault_list_is_a_policy(self):
-        policy = ChaosPolicy.from_dict([{"kind": "pipe-close", "round": 2}])
-        assert policy.faults[0].kind == "pipe-close"
+        policy = ChaosPolicy.from_dict([{"kind": "cache-write-fail",
+                                         "index": 2}])
+        assert policy.faults[0].kind == "cache-write-fail"
 
     def test_wrong_kind_and_version_refused(self):
         with pytest.raises(ConfigurationError, match="not a chaos policy"):
@@ -97,28 +87,27 @@ class TestChaosPolicy:
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "chaos.json"
         path.write_text(json.dumps(
-            {"faults": [{"kind": "worker-kill", "shard": 1}]}))
+            {"faults": [{"kind": "pool-worker-kill", "index": 1}]}))
         policy = ChaosPolicy.from_json_file(str(path))
-        assert policy.faults[0].shard == 1
+        assert policy.faults[0].index == 1
         with pytest.raises(ConfigurationError, match="cannot read"):
             ChaosPolicy.from_json_file(str(tmp_path / "missing.json"))
 
 
 class TestController:
     def test_take_claims_matching_live_faults_once(self):
-        controller = build_chaos([{"kind": "pipe-close", "shard": 1,
-                                   "round": 2}])
-        assert controller.take("shard-send", shard=2, round=2) == []
-        taken = controller.take("shard-send", shard=1, round=2)
-        assert [f.kind for f in taken] == ["pipe-close"]
-        # The budget is spent: a retry of the same round runs clean.
-        assert controller.take("shard-send", shard=1, round=2) == []
+        controller = build_chaos([{"kind": "pool-worker-kill", "index": 1}])
+        assert controller.take("pool-request", index=2) == []
+        taken = controller.take("pool-request", index=1)
+        assert [f.kind for f in taken] == ["pool-worker-kill"]
+        # The budget is spent: a retry of the same request runs clean.
+        assert controller.take("pool-request", index=1) == []
         assert controller.live_faults() == []
-        assert controller.fired[0]["site"] == "shard-send"
+        assert controller.fired[0]["site"] == "pool-request"
 
     def test_none_coordinates_are_wildcards(self):
-        controller = build_chaos([{"kind": "pipe-close"}])
-        assert controller.take("shard-send", shard=3, round=7)
+        controller = build_chaos([{"kind": "pool-worker-kill"}])
+        assert controller.take("pool-request", index=7)
 
     def test_times_budget(self):
         controller = build_chaos([{"kind": "checkpoint-write-fail",
@@ -126,16 +115,6 @@ class TestController:
         assert controller.take("checkpoint-write", index=0)
         assert controller.take("checkpoint-write", index=1)
         assert controller.take("checkpoint-write", index=2) == []
-
-    def test_take_for_shard_ships_worker_faults_as_plain_data(self):
-        controller = build_chaos([{"kind": "worker-kill", "shard": 1},
-                                  {"kind": "pipe-close", "shard": 1}])
-        shipped = controller.take_for_shard(1)
-        assert shipped == [{"kind": "worker-kill", "shard": 1}]
-        # Spent at spawn time: a respawned worker sees nothing.
-        assert controller.take_for_shard(1) == []
-        # The coordinator-side pipe fault is untouched.
-        assert [f.kind for f in controller.live_faults()] == ["pipe-close"]
 
     def test_build_chaos_normalises(self):
         assert build_chaos(None) is None
@@ -147,7 +126,7 @@ class TestController:
 class TestChaosScope:
     def test_scope_installs_and_restores(self):
         assert current_chaos() is None
-        with chaos_scope([{"kind": "pipe-close"}]) as controller:
+        with chaos_scope([{"kind": "pool-worker-kill"}]) as controller:
             assert current_chaos() is controller
             with chaos_scope(None):
                 # None leaves the ambient controller in force.
@@ -155,8 +134,8 @@ class TestChaosScope:
         assert current_chaos() is None
 
     def test_nested_scope_shadows_and_restores(self):
-        with chaos_scope([{"kind": "pipe-close"}]) as outer:
-            with chaos_scope([{"kind": "worker-kill"}]) as inner:
+        with chaos_scope([{"kind": "pool-worker-kill"}]) as outer:
+            with chaos_scope([{"kind": "checkpoint-write-fail"}]) as inner:
                 assert current_chaos() is inner
             assert current_chaos() is outer
 
@@ -164,67 +143,6 @@ class TestChaosScope:
 # ---------------------------------------------------------------------------
 # The survivability property: chaos in, byte-identical reports out.
 # ---------------------------------------------------------------------------
-
-#: Schedules the fabric is specified to survive, with the recovery the audit
-#: trail must document (None: the fault perturbs nothing observable).
-SURVIVABLE_SHARD_SCHEDULES = [
-    pytest.param([{"kind": "worker-kill", "shard": 1, "round": 1}],
-                 "WorkerDiedError", id="worker-kill-spawn"),
-    pytest.param([{"kind": "worker-kill", "shard": 1, "round": 2}],
-                 "WorkerDiedError", id="worker-kill-mid-round"),
-    pytest.param([{"kind": "worker-kill", "shard": 0, "round": 2}],
-                 "WorkerDiedError", id="coordinator-local-kill"),
-    pytest.param([{"kind": "worker-hang", "shard": 1, "round": 2,
-                   "delay": 3.0}],
-                 "WorkerTimeoutError", id="worker-hang-past-deadline"),
-    pytest.param([{"kind": "slow-shard", "shard": 1, "round": 2,
-                   "delay": 0.2}],
-                 None, id="slow-shard-inside-deadline"),
-    pytest.param([{"kind": "pipe-close", "shard": 1, "round": 2}],
-                 "WorkerDiedError", id="pipe-close"),
-    pytest.param([{"kind": "pipe-corrupt", "shard": 1, "round": 2}],
-                 "SimulationError", id="pipe-corrupt"),
-    pytest.param([{"kind": "worker-kill", "shard": 1, "round": 1},
-                  {"kind": "pipe-close", "shard": 1, "round": 3}],
-                 "WorkerDiedError", id="two-fault-schedule"),
-]
-
-
-@needs_numpy
-class TestSurvivableShardChaos:
-    @pytest.mark.parametrize("faults, expected_error",
-                             SURVIVABLE_SHARD_SCHEDULES)
-    def test_supervised_run_is_byte_identical_and_audited(self, faults,
-                                                          expected_error):
-        request = small_request()
-        baseline = execute(request)
-        started = time.monotonic()
-        report = execute_resilient(request, shards=2, deadline=1.0,
-                                   base_delay=0.01, chaos={"faults": faults})
-        assert time.monotonic() - started < _NO_HANG_SECONDS
-        assert canonical(report) == canonical(baseline)
-        trail = report.metadata.get("resilience", [])
-        if expected_error is None:
-            assert trail == []  # an unobservable perturbation leaves no trace
-        else:
-            assert trail, "a recovery must be documented"
-            assert trail[0]["event"] == "retry"
-            assert trail[0]["error"] == expected_error
-            assert trail[-1]["event"] == "completed"
-
-    def test_retried_attempt_runs_clean_because_faults_are_spent(self):
-        # The core one-shot guarantee: the worker-side fault is claimed at
-        # spawn time, so exactly one retry suffices for a times=1 fault.
-        request = small_request()
-        report = execute_resilient(request, shards=2, deadline=2.0,
-                                   base_delay=0.01,
-                                   chaos={"faults": [{"kind": "worker-kill",
-                                                      "shard": 1}]})
-        trail = report.metadata["resilience"]
-        assert [e["event"] for e in trail] == ["retry", "completed"]
-        assert trail[-1] == {"event": "completed", "stage": "sharded",
-                             "attempt": 2}
-
 
 class TestSurvivablePoolChaos:
     def test_pool_worker_kill_recovers_serially(self):
@@ -241,6 +159,21 @@ class TestSurvivablePoolChaos:
         record = reports[1].metadata["resilience"][0]
         assert record["error"] == "BrokenProcessPool"
         assert record["fallback"] == "serial"
+
+    def test_supervised_sweep_is_undisturbed_by_a_pool_worker_kill(self):
+        # The supervised executor runs each request on its own ladder, never
+        # through the sweep pool the fault targets: the sweep completes
+        # exactly as an undisturbed one, with no recovery to document.
+        requests = (small_request(), small_request(seed=12))
+        undisturbed = run_sweep(SweepSpec(requests=requests,
+                                          executor="serial"))
+        reports = run_sweep(SweepSpec(requests=requests,
+                                      executor="supervised"),
+                            chaos=[{"kind": "pool-worker-kill", "index": 1}])
+        assert len(reports) == 2
+        for report, baseline in zip(reports, undisturbed):
+            assert canonical(report) == canonical(baseline)
+            assert "resilience" not in report.metadata
 
 
 class TestSurvivableCheckpointChaos:
@@ -278,41 +211,17 @@ class TestSurvivableCheckpointChaos:
 # Unsurvivable schedules: named errors within the deadline, never hangs.
 # ---------------------------------------------------------------------------
 
-@needs_numpy
 class TestUnsurvivableChaos:
-    def test_exhausting_every_rung_raises_the_named_error(self):
-        # Kill the worker on every attempt of a sharded-only ladder.
-        request = small_request()
+    def test_exhausting_every_rung_raises_the_named_error(self, monkeypatch):
+        # A pool-only ladder whose worker dies like an OOM kill on every
+        # attempt: the ladder runs out and says so, within the deadline.
+        monkeypatch.setattr(executors, "_execute_for_pool",
+                            executors._chaos_exit_worker)
         started = time.monotonic()
         with pytest.raises(SupervisionExhaustedError, match="every rung"):
-            execute_resilient(request, ladder=["sharded"], shards=2,
-                              deadline=2.0, max_attempts=2, base_delay=0.01,
-                              chaos={"faults": [{"kind": "worker-kill",
-                                                 "shard": 1, "times": 5}]})
-        assert time.monotonic() - started < _NO_HANG_SECONDS
-
-    def test_unsupervised_worker_death_mid_round_is_a_clean_error(self):
-        # The raw sharded executor (no supervision rung above it) must
-        # surface a worker killed between rounds as the named error —
-        # never a hang, never a wrong result.
-        request = small_request()
-        executor = ShardedRunExecutor(shards=2, deadline=5.0)
-        executor.submit(request)
-        started = time.monotonic()
-        with chaos_scope([{"kind": "worker-kill", "shard": 1, "round": 2}]):
-            with pytest.raises(WorkerDiedError, match="shard worker 1"):
-                list(executor.iter_reports())
-        assert time.monotonic() - started < _NO_HANG_SECONDS
-
-    def test_unsupervised_hang_trips_the_deadline(self):
-        request = small_request()
-        executor = ShardedRunExecutor(shards=2, deadline=0.5)
-        executor.submit(request)
-        started = time.monotonic()
-        with chaos_scope([{"kind": "worker-hang", "shard": 1, "round": 2,
-                           "delay": 5.0}]):
-            with pytest.raises(WorkerTimeoutError, match="reply deadline"):
-                list(executor.iter_reports())
+            execute_resilient(small_request(), ladder=["pool"],
+                              deadline=30.0, max_attempts=2,
+                              base_delay=0.01)
         assert time.monotonic() - started < _NO_HANG_SECONDS
 
     def test_persistent_checkpoint_failure_raises_named_error(self, tmp_path):
@@ -327,22 +236,22 @@ class TestUnsurvivableChaos:
 # Chaos at the CLI seam.
 # ---------------------------------------------------------------------------
 
-@needs_numpy
 class TestChaosCli:
     def test_sweep_chaos_flag(self, tmp_path, capsys):
         from repro.cli import main
         requests_path = tmp_path / "requests.json"
-        requests_path.write_text(json.dumps([small_request().to_dict()]))
+        requests_path.write_text(json.dumps(
+            [small_request(seed=seed).to_dict() for seed in (11, 12)]))
         chaos_path = tmp_path / "chaos.json"
         chaos_path.write_text(json.dumps(
-            {"faults": [{"kind": "worker-kill", "shard": 1, "round": 1}]}))
-        rc = main(["sweep", str(requests_path), "--executor", "supervised",
-                   "--shards", "2", "--deadline", "5", "--chaos",
-                   str(chaos_path), "--json"])
+            {"faults": [{"kind": "pool-worker-kill", "index": 1}]}))
+        rc = main(["sweep", str(requests_path), "--executor", "pool",
+                   "--max-workers", "2", "--chaos", str(chaos_path),
+                   "--json"])
         assert rc == 0
         reports = json.loads(capsys.readouterr().out)
-        trail = reports[0]["metadata"]["resilience"]
-        assert trail[0]["error"] == "WorkerDiedError"
+        trail = reports[1]["metadata"]["resilience"]
+        assert trail[0]["error"] == "BrokenProcessPool"
 
     def test_bad_chaos_file_is_a_clean_exit(self, tmp_path):
         from repro.cli import main

@@ -247,16 +247,19 @@ class TestSweepExecutors:
         assert code == 0
         assert json.loads(serial) == json.loads(capsys.readouterr().out)
 
-    @pytest.mark.skipif(not engine_module.batched_available(),
-                        reason="numpy not installed")
-    def test_sweep_sharded_executor(self, request_file, capsys):
-        code = main(["sweep", request_file, "--executor", "sharded",
-                     "--shards", "2", "--json"])
+    def test_sweep_supervised_executor(self, request_file, capsys):
+        code = main(["sweep", request_file, "--serial", "--json"])
+        assert code == 0
+        serial = [RunReport.from_dict(item)
+                  for item in json.loads(capsys.readouterr().out)]
+        code = main(["sweep", request_file, "--executor", "supervised",
+                     "--deadline", "30", "--json"])
         assert code == 0
         reports = [RunReport.from_dict(item)
                    for item in json.loads(capsys.readouterr().out)]
-        assert all(r.succeeded for r in reports)
-        assert {r.engine_resolved for r in reports} == {"sharded"}
+        assert all(r.succeeded and not r.metadata for r in reports)
+        assert ([r.outcome_dict() for r in reports]
+                == [r.outcome_dict() for r in serial])
 
     def test_sweep_file_may_carry_a_sweep_spec(self, tmp_path, capsys):
         payload = {
@@ -307,24 +310,14 @@ class TestSweepExecutors:
             main(["sweep", request_file, "--serial",
                   "--checkpoint", checkpoint])
 
-    def test_bare_shards_flag_implies_sharded_executor(self, request_file,
-                                                       capsys):
-        code = main(["sweep", request_file, "--shards", "2", "--json"])
-        assert code == 0
-        reports = [RunReport.from_dict(item)
-                   for item in json.loads(capsys.readouterr().out)]
-        expected = ("sharded" if engine_module.batched_available()
-                    else "fast")
-        assert reports[0].engine_resolved == expected
-
     def test_mismatched_executor_parameter_flags_exit(self, request_file):
-        with pytest.raises(SystemExit, match="--shards applies"):
-            main(["sweep", request_file, "--serial", "--shards", "2"])
+        with pytest.raises(SystemExit, match="--deadline applies"):
+            main(["sweep", request_file, "--serial", "--deadline", "5"])
         with pytest.raises(SystemExit, match="--max-workers applies"):
-            main(["sweep", request_file, "--executor", "sharded",
+            main(["sweep", request_file, "--executor", "supervised",
                   "--max-workers", "4"])
         with pytest.raises(SystemExit, match="--max-workers applies"):
-            main(["sweep", request_file, "--shards", "2",
+            main(["sweep", request_file, "--deadline", "5",
                   "--max-workers", "4"])
 
     def test_compact_without_checkpoint_exits(self, request_file):
@@ -404,7 +397,7 @@ class TestValidateCommand:
                     else "fast")
         assert rows[0]["resolved"] == expected
         assert rows[1]["resolved"] == "fast"
-        assert rows[1]["shardable"] is False
+        assert "shardable" not in rows[1]
 
     def test_validate_all_registered_plans_ineligible_runs_on_fast(
             self, capsys, monkeypatch):

@@ -14,13 +14,12 @@ import os
 import pytest
 
 from repro.api import (DEFAULT_EXECUTOR, Executor, PoolExecutor, RunReport,
-                       RunRequest, SerialExecutor, ShardedRunExecutor,
+                       RunRequest, SerialExecutor, SupervisedExecutor,
                        SweepSpec, RegistryError, build_executor,
                        compact_checkpoint, derive_seed, execute,
                        executor_names, executor_registry, iter_execute,
                        iter_sweep, read_checkpoint, resolve_executor,
                        run_sweep, scan_checkpoint, sweep_digest)
-from repro.core import engine as engine_module
 from repro.runtime.errors import ConfigurationError
 
 
@@ -33,16 +32,15 @@ def small_requests(count=3, protocol="exponential", **overrides):
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(executor_names()) == {"serial", "pool", "sharded",
-                                         "supervised"}
+        assert set(executor_names()) == {"serial", "pool", "supervised"}
         assert DEFAULT_EXECUTOR in executor_names()
 
     def test_build_by_name(self):
         assert isinstance(build_executor("serial"), SerialExecutor)
         pool = build_executor("pool", {"max_workers": 2})
         assert isinstance(pool, PoolExecutor) and pool.max_workers == 2
-        sharded = build_executor("sharded", {"shards": 3})
-        assert isinstance(sharded, ShardedRunExecutor) and sharded.shards == 3
+        supervised = build_executor("supervised", {"max_attempts": 2})
+        assert isinstance(supervised, SupervisedExecutor)
 
     def test_unknown_name(self):
         with pytest.raises(RegistryError, match="unknown executor"):
@@ -54,7 +52,7 @@ class TestRegistry:
 
     def test_schemas_are_introspectable(self):
         assert "max_workers" in executor_registry()["pool"].schema
-        assert "shards" in executor_registry()["sharded"].schema
+        assert "deadline" in executor_registry()["supervised"].schema
 
     def test_resolve_executor(self):
         instance = SerialExecutor()
@@ -104,7 +102,7 @@ class TestExecutorProtocol:
         requests = small_requests(3)
         expected = [execute(r) for r in requests]
         for backend in (SerialExecutor(), PoolExecutor(max_workers=2),
-                        ShardedRunExecutor(shards=2)):
+                        SupervisedExecutor()):
             with backend:
                 for request in requests:
                     backend.submit(request)
@@ -122,48 +120,6 @@ class TestExecutorProtocol:
                 pool.submit(request)
             reports = dict(pool.iter_reports())
         assert sorted(reports) == [0, 1, 2, 3]
-
-
-class TestShardedExecutor:
-    def test_rejects_nonpositive_shards(self):
-        with pytest.raises(ConfigurationError, match="at least one shard"):
-            ShardedRunExecutor(shards=0)
-
-    @pytest.mark.skipif(not engine_module.batched_available(),
-                        reason="numpy not installed")
-    def test_reports_sharded_engine_resolution(self):
-        request = small_requests(1)[0]
-        with ShardedRunExecutor(shards=2) as executor:
-            executor.submit(request)
-            ((_, report),) = list(executor.iter_reports())
-        assert report.engine_resolved == "sharded"
-        assert report.engine == "auto"
-        assert report.agreement
-
-    def test_ineligible_request_falls_back_to_planner_path(self):
-        request = RunRequest(protocol="phase-king", n=9, t=2,
-                             initial_value=1,
-                             scenario="faulty-source-allies",
-                             battery="worst-case")
-        with ShardedRunExecutor(shards=2) as executor:
-            executor.submit(request)
-            ((_, report),) = list(executor.iter_reports())
-        assert report.engine_resolved != "sharded"
-        assert report == execute(request)
-
-    @pytest.mark.skipif(not engine_module.batched_available(),
-                        reason="numpy not installed")
-    def test_observationally_identical_to_plain_execute(self):
-        for request in small_requests(2, protocol="algorithm-a",
-                                      protocol_params={"b": 3}, n=10, t=3):
-            plain = execute(request)
-            with ShardedRunExecutor(shards=2) as executor:
-                executor.submit(request)
-                ((_, sharded),) = list(executor.iter_reports())
-            assert sharded.decisions == plain.decisions
-            assert sharded.discovered == plain.discovered
-            assert sharded.discovery_logs == plain.discovery_logs
-            assert sharded.metrics == plain.metrics
 
 
 class TestIterExecute:
@@ -232,8 +188,8 @@ class TestSeedDerivation:
 
 class TestSweepSpec:
     def test_round_trips_through_json(self):
-        spec = SweepSpec(requests=small_requests(2), executor="sharded",
-                         executor_params={"shards": 2},
+        spec = SweepSpec(requests=small_requests(2), executor="pool",
+                         executor_params={"max_workers": 2},
                          seed_policy="derive", sweep_seed=5)
         wire = json.dumps(spec.to_dict(), sort_keys=True)
         assert SweepSpec.from_dict(json.loads(wire)) == spec

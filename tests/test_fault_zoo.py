@@ -4,7 +4,7 @@ Covers the new adversary families (transient corruption, send/receive
 omission, crash-recovery, moving target): unit behaviour, registry schemas,
 the ``reseed`` hook, seed determinism (including independence from the
 global ``random`` module), the state-corruption views shared by the
-per-processor and batched drivers, batched/sharded eligibility gating, and
+per-processor and batched drivers, batched eligibility gating, and
 end-to-end safety at resilient parameters.  Cross-engine observational
 identity is exercised exhaustively by ``test_flat_engine.py``, which draws
 adversaries from the registry; the parity checks here are targeted spot
@@ -273,19 +273,19 @@ class TestCorruptionParity:
         assert batched.discovered == reference.discovered
         assert batched.metrics.summary() == reference.metrics.summary()
 
-    def test_sharded_gating(self):
-        from repro.runtime.sharding import run_sharded_if_supported
+    def test_batched_gating(self):
+        from repro.runtime.batched import run_batched_if_supported
         spec = ExponentialSpec()
         config = ProtocolConfig(n=9, t=2, initial_value=1)
         faulty = frozenset({7, 8})
-        # Corruption-hook adversaries stay shardable (single-process batched
-        # under the hood) and match the per-processor reference exactly.
-        sharded = run_sharded_if_supported(
+        # Corruption-hook adversaries stay batched and match the
+        # per-processor reference exactly.
+        batched = run_batched_if_supported(
             spec, config, faulty,
             TransientCorruptionAdversary(corrupt_rounds=2, victims=2,
                                          flips=2),
-            5, shards=2)
-        assert sharded is not None
+            5)
+        assert batched is not None
         from repro.core.engine import use_engine
         with use_engine("reference"):
             reference = run_agreement(
@@ -293,9 +293,8 @@ class TestCorruptionParity:
                 TransientCorruptionAdversary(corrupt_rounds=2, victims=2,
                                              flips=2),
                 seed=5)
-        assert sharded.decisions == reference.decisions
-        assert sharded.metrics.summary() == reference.metrics.summary()
-        # Fallback-reason adversaries decline the sharded path entirely.
-        assert run_sharded_if_supported(
-            spec, config, faulty, CrashRecoveryAdversary(), 5,
-            shards=2) is None
+        assert batched.decisions == reference.decisions
+        assert batched.metrics.summary() == reference.metrics.summary()
+        # Fallback-reason adversaries decline the batched path entirely.
+        assert run_batched_if_supported(
+            spec, config, faulty, CrashRecoveryAdversary(), 5) is None

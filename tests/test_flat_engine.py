@@ -494,6 +494,23 @@ class TestBatchedRunEquivalence:
         assert (reports["batched"].outcome_dict()
                 == reports["numpy"].outcome_dict())
 
+    def test_conversion_level_is_never_built_at_n16(self):
+        """Exponential n=16, t=5 converts its sixth level from claim counts:
+        the shared index builds five levels, and none of the sixth's
+        tables."""
+        from repro.api import RunRequest, execute
+        from repro.core.sequences import (clear_sequence_index_cache,
+                                          sequence_index)
+        clear_sequence_index_cache()
+        report = execute(RunRequest(
+            protocol="exponential", n=16, t=5,
+            scenario="faulty-source-allies", battery="worst-case", seed=5,
+            engine="batched"))
+        assert report.engine_resolved == "batched" and report.agreement
+        index = sequence_index(0, tuple(range(16)), False)
+        assert len(index._seqs) == 5
+        assert all(level <= 5 for _, level in index._np_tables)
+
     def test_batched_supported_covers_exactly_eig_c_and_hybrid(self):
         from repro.baselines.dolev_strong import DolevStrongSpec
         from repro.baselines.phase_king import PhaseKingSpec

@@ -492,6 +492,13 @@ class TestHttpFrontend:
         assert status == 400
         assert "unknown protocol" in json.loads(body)["error"]
 
+    def test_non_integer_faulty_id_is_400(self, frontend):
+        """A float processor id is refused, not truncated to processor 2."""
+        bad = dict(small_request().to_dict(), faulty=[2.7])
+        status, body, _ = _http(frontend.port, "POST", "/run", bad)
+        assert status == 400
+        assert "'faulty'" in json.loads(body)["error"]
+
     def test_non_json_body_is_400(self, frontend):
         conn = http.client.HTTPConnection("127.0.0.1", frontend.port,
                                           timeout=30)

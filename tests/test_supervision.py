@@ -7,10 +7,13 @@ before the ladder downgrades, and every recovery step is recorded as a
 structured audit event.  An undisturbed run carries no trail at all.
 """
 
+import time
+
 import pytest
 
 from repro.api import (RegistryError, RunRequest, build_executor, execute,
                        execute_resilient, executor_registry)
+from repro.api import executors
 from repro.api.executors import SupervisedExecutor
 from repro.runtime.errors import (ConfigurationError, FabricError,
                                   SupervisionExhaustedError, WorkerDiedError)
@@ -29,9 +32,14 @@ def small_request(**overrides):
     return RunRequest(**fields)
 
 
+def _hang_in_pool_worker(request):  # pragma: no cover - runs in the worker
+    """A pool worker that never replies (killed at the rung's deadline)."""
+    time.sleep(60.0)
+
+
 class TestBackoff:
     def test_fraction_is_deterministic_and_bounded(self):
-        for key in ("", "a", "42:3:sharded"):
+        for key in ("", "a", "42:3:batched"):
             for attempt in range(1, 5):
                 value = backoff_fraction(key, attempt)
                 assert value == backoff_fraction(key, attempt)
@@ -71,17 +79,17 @@ class TestBackoff:
 
 class TestEventVocabulary:
     def test_retry_event_shape(self):
-        event = retry_event("sharded", 1, WorkerDiedError("pipe gone"), 0.05)
-        assert event == {"event": "retry", "stage": "sharded", "attempt": 1,
+        event = retry_event("pool", 1, WorkerDiedError("pipe gone"), 0.05)
+        assert event == {"event": "retry", "stage": "pool", "attempt": 1,
                         "delay": 0.05, "error": "WorkerDiedError",
                         "detail": "pipe gone"}
 
     def test_downgrade_skip_completed(self):
-        down = downgrade_event("sharded", "batched", OSError("enospc"))
+        down = downgrade_event("pool", "serial", OSError("enospc"))
         assert (down["event"], down["from"], down["to"]) == (
-            "downgrade", "sharded", "batched")
-        assert skip_event("sharded", "no numpy") == {
-            "event": "skip", "stage": "sharded", "reason": "no numpy"}
+            "downgrade", "pool", "serial")
+        assert skip_event("batched", "no numpy") == {
+            "event": "skip", "stage": "batched", "reason": "no numpy"}
         assert completed_event("pool", 2) == {
             "event": "completed", "stage": "pool", "attempt": 2}
 
@@ -131,12 +139,12 @@ class TestSupervisor:
             raise WorkerDiedError("always")
 
         result, trail = Supervisor(
-            [("sharded", dead), ("serial", lambda: "fallback")],
+            [("pool", dead), ("serial", lambda: "fallback")],
             retry=RetryPolicy(max_attempts=2, base_delay=0.0),
             sleep=lambda _: None).run()
         assert result == "fallback"
         events = [(e["event"], e.get("stage", e.get("from"))) for e in trail]
-        assert events == [("retry", "sharded"), ("downgrade", "sharded"),
+        assert events == [("retry", "pool"), ("downgrade", "pool"),
                           ("completed", "serial")]
         assert trail[1]["to"] == "serial"
 
@@ -148,7 +156,7 @@ class TestSupervisor:
             raise RungUnavailable("not batched-eligible")
 
         result, trail = Supervisor(
-            [("sharded", unavailable), ("serial", lambda: "ok")],
+            [("batched", unavailable), ("serial", lambda: "ok")],
             sleep=lambda _: None).run()
         assert result == "ok"
         assert len(calls) == 1  # skips never burn the retry budget
@@ -170,12 +178,12 @@ class TestSupervisor:
             return "ok"
 
         result, trail = Supervisor(
-            [("sharded", unavailable), ("batched", flaky)],
+            [("batched", unavailable), ("pool", flaky)],
             retry=RetryPolicy(max_attempts=2, base_delay=0.0),
             sleep=lambda _: None).run()
         assert result == "ok"
         assert [e["event"] for e in trail] == ["skip", "retry", "completed"]
-        assert trail[0] == {"event": "skip", "stage": "sharded",
+        assert trail[0] == {"event": "skip", "stage": "batched",
                             "reason": "no numpy"}
 
     def test_unrecoverable_error_propagates_immediately(self):
@@ -217,15 +225,15 @@ class TestSupervisor:
 
         slept = []
         supervisor = Supervisor(
-            [("sharded", unavailable("sharded")),
-             ("batched", unavailable("batched"))],
+            [("batched", unavailable("batched")),
+             ("pool", unavailable("pool"))],
             retry=RetryPolicy(max_attempts=3, base_delay=1.0),
             sleep=slept.append)
         with pytest.raises(SupervisionExhaustedError, match="every rung"):
             supervisor.run()
         # Each unavailable rung is probed exactly once: skips never burn
         # the retry budget, so nothing backed off and nothing slept.
-        assert calls == ["sharded", "batched"]
+        assert calls == ["batched", "pool"]
         assert slept == []
 
     def test_max_attempts_one_downgrades_after_a_single_failure(self):
@@ -262,13 +270,13 @@ class TestSupervisor:
         def dead():
             raise WorkerDiedError("gone")
 
-        supervisor = Supervisor([("sharded", unavailable), ("pool", dead)],
+        supervisor = Supervisor([("batched", unavailable), ("pool", dead)],
                                 retry=RetryPolicy(max_attempts=1),
                                 sleep=lambda _: None)
         try:
             supervisor.run()
         except SupervisionExhaustedError as exc:
-            assert "sharded" in str(exc) and "pool" in str(exc)
+            assert "batched" in str(exc) and "pool" in str(exc)
         else:  # pragma: no cover - the raise is the point
             raise AssertionError("expected SupervisionExhaustedError")
 
@@ -276,8 +284,8 @@ class TestSupervisor:
 class TestSupervisedExecutor:
     def test_registered_with_schema(self):
         entry = executor_registry()["supervised"]
-        assert {"ladder", "max_attempts", "base_delay", "deadline",
-                "shards", "chaos"} <= set(entry.schema)
+        assert set(entry.schema) == {"ladder", "max_attempts", "base_delay",
+                                     "backoff_factor", "deadline", "chaos"}
 
     def test_build_by_name_promotes_integral_floats(self):
         # JSON has one number type: deadline=5 (an int literal) must build.
@@ -289,15 +297,13 @@ class TestSupervisedExecutor:
 
     def test_rejects_unknown_ladder_rungs(self):
         with pytest.raises(ConfigurationError, match="unknown ladder rung"):
-            SupervisedExecutor(ladder=["sharded", "gpu"])
+            SupervisedExecutor(ladder=["batched", "sharded"])
         with pytest.raises(ConfigurationError, match="at least one rung"):
             SupervisedExecutor(ladder=[])
 
-    def test_rejects_bad_deadline_and_shards(self):
+    def test_rejects_bad_deadline(self):
         with pytest.raises(ConfigurationError, match="positive seconds"):
             SupervisedExecutor(deadline=0.0)
-        with pytest.raises(ConfigurationError, match="at least one shard"):
-            SupervisedExecutor(shards=0)
 
     def test_empty_ladder_rejected_whatever_the_retry_budget(self):
         # max_attempts=1 must not sneak an empty ladder past validation:
@@ -312,7 +318,7 @@ class TestSupervisedExecutor:
 
     def test_default_ladder(self):
         assert SupervisedExecutor().ladder == DEFAULT_LADDER
-        assert DEFAULT_LADDER == ("sharded", "batched", "pool", "serial")
+        assert DEFAULT_LADDER == ("batched", "pool", "serial")
 
     def test_undisturbed_run_matches_execute_with_no_metadata(self):
         request = small_request()
@@ -326,6 +332,30 @@ class TestSupervisedExecutor:
         baseline = execute(request)
         supervised = execute_resilient(request, ladder=["serial"])
         assert supervised.outcome_dict() == baseline.outcome_dict()
+
+    def test_pool_only_ladder_matches_execute(self):
+        request = small_request()
+        baseline = execute(request)
+        supervised = execute_resilient(request, ladder=["pool"],
+                                       deadline=30.0)
+        assert supervised.metadata == {}
+        assert supervised.outcome_dict() == baseline.outcome_dict()
+
+    def test_pool_worker_past_its_deadline_downgrades_to_serial(
+            self, monkeypatch):
+        monkeypatch.setattr(executors, "_execute_for_pool",
+                            _hang_in_pool_worker)
+        request = small_request()
+        started = time.monotonic()
+        report = execute_resilient(request, ladder=["pool", "serial"],
+                                   deadline=0.5, max_attempts=1)
+        assert time.monotonic() - started < 30.0
+        assert report.outcome_dict() == execute(request).outcome_dict()
+        trail = report.metadata["resilience"]
+        assert [(e["event"], e.get("stage", e.get("from"))) for e in trail] \
+            == [("downgrade", "pool"), ("completed", "serial")]
+        assert trail[0]["error"] == "WorkerTimeoutError"
+        assert trail[0]["to"] == "serial"
 
     def test_outcome_dict_drops_only_execution_side_fields(self):
         report = execute(small_request())
