@@ -13,11 +13,12 @@ worst-case equivocating-source adversary, once per engine:
   rewrites.  Timed only when numpy is importable (the engine is optional).
 
 A fourth timeable mode is ``"batched"`` — not a per-processor engine but the
-whole-run executor (``run_agreement(..., batched=True)``): every correct
-processor (and every adversary shadow) steps as one 2-D numpy kernel per
-round.  It is timed only on the cells whose spec it actually accelerates
-(``repro.runtime.batched.batched_supported`` — the EIG specs, Algorithm C
-and the hybrid; the baselines fall back to the per-processor driver).
+whole-run executor (a run whose ``ProtocolConfig.engine`` is ``"batched"``):
+every correct processor (and every adversary shadow) steps as one 2-D numpy
+kernel per round.  It is timed only on the cells whose spec it actually
+accelerates (``repro.runtime.batched.batched_supported`` — the EIG specs,
+Algorithm C and the hybrid; the baselines fall back to the per-processor
+driver).
 
 Running ``python benchmarks/bench_perf.py`` writes ``BENCH_perf.json`` at the
 repository root with per-cell timings and speedups, run metadata
@@ -46,13 +47,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.algorithm_a import AlgorithmASpec
 from repro.core.algorithm_b import AlgorithmBSpec
 from repro.core.algorithm_c import AlgorithmCSpec
-from repro.core.engine import (BATCHED, ENGINES, numpy_available,
-                               use_engine, validate_engine)
+from repro.core.engine import (BATCHED, CONFIG_ENGINES, numpy_available,
+                               validate_engine)
 from repro.core.exponential import ExponentialSpec
 from repro.core.hybrid import HybridSpec
 from repro.core.protocol import ProtocolConfig, ProtocolSpec
 from repro.experiments.workloads import worst_case_scenarios
 from repro.runtime.batched import batched_supported
+from repro.runtime.errors import ConfigurationError
 from repro.runtime.simulation import run_agreement
 
 #: The small-``n`` cell on which batched must not lose to the fast engine.
@@ -110,13 +112,11 @@ def time_run(spec: ProtocolSpec, n: int, t: int, engine: str,
     every engine decided identically.
     """
     scenario = worst_case_scenarios(n, t)[0]
-    config = ProtocolConfig(n=n, t=t, initial_value=1)
-    batched = engine == BATCHED
+    config = ProtocolConfig(n=n, t=t, initial_value=1, engine=engine)
 
     def one_run():
-        with use_engine("numpy" if batched else engine):
-            return run_agreement(spec, config, scenario.faulty,
-                                 scenario.adversary(), batched=batched)
+        return run_agreement(spec, config, scenario.faulty,
+                             scenario.adversary())
 
     best = float("inf")
     decision = None
@@ -266,7 +266,7 @@ def _numpy_version() -> Optional[str]:
 def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--engine", action="append",
-                        choices=tuple(ENGINES) + (BATCHED,),
+                        choices=CONFIG_ENGINES,
                         default=None, dest="engines",
                         help="engine/mode to time (repeatable; default: "
                              "every mode available in this process; "
@@ -281,8 +281,8 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     if args.engines:
         try:
             for engine in args.engines:
-                validate_engine("numpy" if engine == BATCHED else engine)
-        except ValueError as exc:
+                validate_engine(engine)
+        except ConfigurationError as exc:
             parser.error(str(exc))
     report = run_benchmark(repetitions=args.repetitions, engines=args.engines,
                            include_large=not args.skip_large)

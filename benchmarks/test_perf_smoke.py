@@ -54,7 +54,7 @@ from conftest import load_recorded_perf, recorded_perf_row
 from repro.api import RunRequest, execute, request_fields_for_spec
 from repro.core.algorithm_b import AlgorithmBSpec
 from repro.core.algorithm_c import AlgorithmCSpec
-from repro.core.engine import numpy_available, use_engine
+from repro.core.engine import numpy_available
 from repro.core.exponential import ExponentialSpec
 from repro.core.hybrid import HybridSpec
 from repro.core.protocol import ProtocolConfig
@@ -79,13 +79,11 @@ ARRAY_ENGINES = [
 
 
 def _run(spec_cls, args, n, t, engine, scenario):
-    config = ProtocolConfig(n=n, t=t, initial_value=1)
-    batched = engine == "batched"
-    with use_engine("numpy" if batched else engine):
-        start = time.perf_counter()
-        result = run_agreement(spec_cls(*args), config, scenario.faulty,
-                               scenario.adversary(), batched=batched)
-        elapsed = time.perf_counter() - start
+    config = ProtocolConfig(n=n, t=t, initial_value=1, engine=engine)
+    start = time.perf_counter()
+    result = run_agreement(spec_cls(*args), config, scenario.faulty,
+                           scenario.adversary())
+    elapsed = time.perf_counter() - start
     return result, elapsed
 
 
@@ -139,7 +137,7 @@ def test_batched_matches_numpy_and_beats_it_at_scale():
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-def test_facade_auto_resolves_to_batched_at_headline(monkeypatch):
+def test_facade_auto_resolves_to_batched_at_headline():
     """The façade path must reach the batched executor, not just run.
 
     ``engine="auto"`` on the headline Exponential cell has to resolve to the
@@ -147,7 +145,6 @@ def test_facade_auto_resolves_to_batched_at_headline(monkeypatch):
     ``execute_many`` sweeps compound batching with pool parallelism), and the
     report's run metadata is the proof.
     """
-    monkeypatch.delenv("REPRO_EIG_ENGINE", raising=False)
     label, _, _, n, t = NUMPY_GATE_CELL
     report = execute(RunRequest(protocol=label, n=n, t=t, initial_value=1,
                                 scenario="faulty-source-allies",
@@ -168,8 +165,7 @@ def _recorded_c_and_hybrid_cells():
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-def test_facade_auto_resolves_to_batched_on_recorded_c_and_hybrid_cells(
-        monkeypatch):
+def test_facade_auto_resolves_to_batched_on_recorded_c_and_hybrid_cells():
     """``auto`` must plan C and the hybrid onto the batched executor.
 
     Their Algorithm C phase steps as row stacks, so every recorded C and
@@ -177,7 +173,6 @@ def test_facade_auto_resolves_to_batched_on_recorded_c_and_hybrid_cells(
     numpy used to beat fast — resolves to batched, proved per cell by the
     report's run metadata.
     """
-    monkeypatch.delenv("REPRO_EIG_ENGINE", raising=False)
     cells = _recorded_c_and_hybrid_cells()
     assert len(cells) == 5
     for _, spec, n, t in cells:

@@ -8,10 +8,9 @@ executing agreement runs:
 * **requests/reports** (:mod:`.request`) — :class:`RunRequest`,
   :class:`RunReport`, and :class:`SweepSpec`, JSON-round-trippable
   descriptions of runs, their outcomes, and whole sweeps;
-* **planner** (:mod:`.planner`) — ``engine="auto"`` resolution to
-  batched where the run is eligible and the fast engine otherwise,
-  with explicit choices overriding ambient (env-var / process-default)
-  settings loudly;
+* **planner** (:mod:`.planner`) — the only way a request's ``engine``
+  reaches a run: ``"auto"`` resolves to batched where the run is eligible
+  and the fast engine otherwise, and an explicit choice runs as asked;
 * **executors** (:mod:`.executors`) — the pluggable execution layer
   (``submit``/``iter_reports``/``close``) with a name→factory registry:
   ``"serial"``, ``"pool"``, and the ``"supervised"`` resilient backend (worker

@@ -18,10 +18,10 @@ machinery as the protocol/adversary registries):
     The substrate of ``execute`` and every fallback path.
 ``pool``
     The process-pool sweep executor previously hard-coded inside
-    ``execute_many``: one worker per request slot, ambient-engine
-    forwarding, completion-order streaming, and clean degradation to serial
-    for single requests / one-worker pools / platforms without process
-    spawning.
+    ``execute_many``: one worker per request slot (each request carries
+    its own engine choice), completion-order streaming, and clean
+    degradation to serial for single requests / one-worker pools /
+    platforms without process spawning.
 ``supervised``
     The resilient backend: every run is supervised
     (:mod:`repro.runtime.supervision`) with per-worker deadlines, bounded
@@ -42,9 +42,10 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures import wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
+from dataclasses import replace
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from ..core.engine import ambient_engine, use_engine
+from ..core.engine import BATCHED, FAST
 from ..runtime.chaos import build_chaos, chaos_scope, current_chaos
 from ..runtime.errors import ConfigurationError, WorkerTimeoutError
 from ..runtime.supervision import (DEFAULT_LADDER, RetryPolicy,
@@ -117,14 +118,6 @@ class SerialExecutor(Executor):
             yield index, execute(request)
 
 
-def _pool_worker_init(ambient: Optional[str]) -> None:  # pragma: no cover
-    """Re-pin the parent's ambient engine inside a spawned pool worker."""
-    if ambient is not None:
-        from ..core.engine import set_default_engine
-        os.environ["REPRO_EIG_ENGINE"] = ambient
-        set_default_engine(ambient)
-
-
 def _execute_for_pool(request: RunRequest) -> RunReport:
     from .facade import execute
     return execute(request)
@@ -178,9 +171,7 @@ class PoolExecutor(Executor):
                 yield index, execute(request)
             return
         try:
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       initializer=_pool_worker_init,
-                                       initargs=(ambient_engine(),))
+            pool = ProcessPoolExecutor(max_workers=workers)
         except (OSError, PermissionError):  # pragma: no cover - sandboxes
             for index, request in pending:
                 yield index, execute(request)
@@ -245,9 +236,7 @@ def _rung_pool(request: RunRequest,
     previous attempt cannot leak into this one.
     """
     try:
-        pool = ProcessPoolExecutor(max_workers=1,
-                                   initializer=_pool_worker_init,
-                                   initargs=(ambient_engine(),))
+        pool = ProcessPoolExecutor(max_workers=1)
     except (OSError, PermissionError) as exc:  # pragma: no cover - sandboxes
         raise RungUnavailable(f"cannot spawn a pool worker: {exc}") from exc
     try:
@@ -265,16 +254,21 @@ def _rung_pool(request: RunRequest,
 
 
 def _rung_serial(request: RunRequest) -> RunReport:
-    """The floor of the ladder: in-process, unbatched, no numpy required."""
+    """The floor of the ladder: in-process, unbatched, no numpy required.
+
+    A ``batched`` plan steps per processor on the ``fast`` engine here; an
+    explicit per-processor engine runs as asked.  The report names the
+    engine that ran.
+    """
     from ..runtime.simulation import run_agreement
     from .planner import plan_run
     spec, config, faulty, adversary = request.resolve_parts()
     plan = plan_run(request, spec, config, faulty, adversary)
-    with use_engine(plan.engine):
-        result = run_agreement(spec, config, faulty, adversary,
-                               seed=request.seed, batched=False)
+    engine = FAST if plan.engine == BATCHED else plan.engine
+    result = run_agreement(spec, replace(config, engine=engine), faulty,
+                           adversary, seed=request.seed)
     return RunReport.from_result(result, engine=request.engine,
-                                 engine_resolved=plan.resolved,
+                                 engine_resolved=engine,
                                  scenario=request.scenario, seed=request.seed)
 
 

@@ -3,8 +3,9 @@
 The CLI, the E1–E9 experiment harness, the examples, and the benchmarks all
 describe work as :class:`~repro.api.request.RunRequest` values and hand them
 here.  :func:`execute` resolves the request through the registries, asks the
-planner for an engine, runs the agreement instance (without mutating the
-process-wide default), and returns a structured
+planner for an engine, runs the agreement instance with that engine on its
+config (``replace(config, engine=plan.engine)``, so concurrent runs never
+share engine state), and returns a structured
 :class:`~repro.api.request.RunReport`.
 
 Sweeps run on the pluggable execution layer (:mod:`repro.api.executors`):
@@ -14,16 +15,15 @@ backend **as runs finish** — the primitive durable checkpointed sweeps
 :func:`execute_grouped` keep their historical list-shaped signatures as thin
 wrappers over the ``"pool"`` backend (one process per request slot, workers
 re-planning locally so eligible EIG cells compound whole-run **batched
-stepping** with cross-cell process parallelism, ambient engine constraints
-forwarded to spawned workers).
+stepping** with cross-cell process parallelism).
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..core.engine import use_engine
 from ..runtime.simulation import run_agreement
 from .executors import ExecutorSpec, PoolExecutor, resolve_executor
 from .planner import ExecutionPlan, plan_run
@@ -40,11 +40,10 @@ def execute(request: RunRequest) -> RunReport:
     """Run one request end to end and return its :class:`RunReport`."""
     spec, config, faulty, adversary = request.resolve_parts()
     plan = plan_run(request, spec, config, faulty, adversary)
-    with use_engine(plan.engine):
-        result = run_agreement(spec, config, faulty, adversary,
-                               seed=request.seed, batched=plan.batched)
+    result = run_agreement(spec, replace(config, engine=plan.engine), faulty,
+                           adversary, seed=request.seed)
     return RunReport.from_result(result, engine=request.engine,
-                                 engine_resolved=plan.resolved,
+                                 engine_resolved=plan.engine,
                                  scenario=request.scenario, seed=request.seed)
 
 

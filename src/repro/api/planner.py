@@ -1,12 +1,11 @@
-"""The execution planner: resolve a request's ``engine`` to a concrete executor.
+"""The execution planner: resolve a request's ``engine`` to the engine a run uses.
 
-Before this module existed, engine choice was scattered plumbing: callers
-threaded ``batched=`` flags into :func:`repro.runtime.simulation.run_agreement`
-and exported ``REPRO_EIG_ENGINE`` for the process pool by hand.  The planner
-centralises the decision.  Given a :class:`~repro.api.request.RunRequest` and
-the spec/config it resolves to, :func:`plan_run` returns an
-:class:`ExecutionPlan` saying which per-processor engine to install and
-whether to take the batched whole-run path.
+A run's engine is a field of its :class:`~repro.core.protocol.ProtocolConfig`,
+and a request's ``engine`` reaches that field only through this module.
+Given a :class:`~repro.api.request.RunRequest` and the spec/config it
+resolves to, :func:`plan_run` returns an :class:`ExecutionPlan` naming the
+engine the run executes on; the façade runs
+``run_agreement(spec, replace(config, engine=plan.engine), …)``.
 
 Resolution rules
 ----------------
@@ -18,20 +17,12 @@ eligible for::
                hybrid, and the adversary does not decline the batched path
     fast     — every other run (phase-king, dolev-strong,
                batched-declining adversaries, no numpy)
-    numpy    — never chosen automatically without an ambient pin
+    numpy    — never chosen automatically
     reference— never chosen automatically; it exists to be asked for
 
-unless the *environment* constrains the choice: ``REPRO_EIG_ENGINE`` or a
-:func:`~repro.core.engine.set_default_engine` call pins auto's
-per-processor engine to the named one.  An ambient ``"fast"`` or
-``"reference"`` also rules out batching (an oracle or no-vectorization run
-stays one); an ambient ``"numpy"`` still upgrades to batched where
-eligible, because batched *is* the numpy layer.
-
-An **explicit** engine on the request always wins over the ambient settings —
-with a :class:`RuntimeWarning` naming both sides when they conflict, never
-silently.  An explicit ``"batched"`` on an ineligible run degrades to the
-``"fast"`` engine, also with a warning.
+An explicit per-processor engine runs as asked.  An explicit ``"batched"``
+on an ineligible run degrades to the ``"fast"`` engine with a
+:class:`RuntimeWarning`, never silently.
 
 The planner decides the *engine*; the *executor backend* a run is placed on
 (:mod:`repro.api.executors` — serial, pool, or supervised) is orthogonal and
@@ -44,8 +35,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, FrozenSet, Optional
 
-from ..core.engine import (BATCHED, FAST, NUMPY, REFERENCE, ambient_engine,
-                           numpy_available, validate_engine)
+from ..core.engine import BATCHED, FAST, numpy_available, validate_engine
 from .request import AUTO, RunRequest
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -56,21 +46,13 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 class ExecutionPlan:
     """The planner's verdict for one run."""
 
-    #: The per-processor engine to install for the run's duration.
+    #: The engine the run executes on (``"batched"`` or a per-processor
+    #: engine); recorded as the report's ``engine_resolved``.
     engine: str
-    #: Whether to take the batched whole-run executor.
-    batched: bool
     #: What the request asked for (``"auto"`` included).
     requested: str
-    #: The ambient constraint the planner saw, if any.
-    ambient: Optional[str]
     #: One line of human-readable justification (surfaces in ``--json`` docs).
     reason: str
-
-    @property
-    def resolved(self) -> str:
-        """The executor name recorded in run metadata."""
-        return BATCHED if self.batched else self.engine
 
 
 def batched_ineligibility(spec: "ProtocolSpec", config: "ProtocolConfig",
@@ -107,64 +89,39 @@ def plan_run(request: RunRequest, spec: "ProtocolSpec",
              config: "ProtocolConfig",
              faulty: FrozenSet[int] = frozenset(),
              adversary=None) -> ExecutionPlan:
-    """Resolve *request*'s engine choice against eligibility and environment."""
+    """Resolve *request*'s engine choice against the run's eligibility."""
     requested = request.engine
-    ambient = ambient_engine()
 
     if requested == AUTO:
-        if ambient in (FAST, REFERENCE):
-            return ExecutionPlan(
-                engine=ambient, batched=False, requested=requested,
-                ambient=ambient,
-                reason=f"auto deferred to the ambient {ambient!r} engine "
-                       f"(REPRO_EIG_ENGINE / set_default_engine)")
         ineligible = batched_ineligibility(spec, config, faulty, adversary)
         if ineligible is None:
             return ExecutionPlan(
-                engine=NUMPY, batched=True, requested=requested,
-                ambient=ambient,
+                engine=BATCHED, requested=requested,
                 reason="auto: spec eligible for whole-run batched "
                        "stepping")
         # Ineligible runs are the tree-less baselines and batched-declining
         # adversaries; at the benchmarked sizes the latter step small trees,
         # where ndarray overhead makes per-processor numpy lose to fast.
-        # Only an ambient pin picks numpy here.
-        engine = ambient or FAST
         return ExecutionPlan(
-            engine=engine, batched=False, requested=requested,
-            ambient=ambient,
+            engine=FAST, requested=requested,
             reason=f"auto: batched declined ({ineligible}); per-processor "
-                   f"{engine!r} engine")
+                   f"{FAST!r} engine")
 
     if requested == BATCHED:
-        if ambient not in (None, NUMPY):
-            warnings.warn(
-                f"explicit engine='batched' overrides the ambient "
-                f"{ambient!r} engine (REPRO_EIG_ENGINE / set_default_engine)",
-                RuntimeWarning, stacklevel=3)
         ineligible = batched_ineligibility(spec, config, faulty, adversary)
         if ineligible is None:
-            return ExecutionPlan(
-                engine=NUMPY, batched=True, requested=requested,
-                ambient=ambient, reason="explicit batched request")
+            return ExecutionPlan(engine=BATCHED, requested=requested,
+                                 reason="explicit batched request")
         warnings.warn(
             f"engine='batched' is not supported for this run "
             f"({ineligible}); using the per-processor {FAST!r} engine "
             f"instead",
             RuntimeWarning, stacklevel=3)
         return ExecutionPlan(
-            engine=FAST, batched=False, requested=requested, ambient=ambient,
+            engine=FAST, requested=requested,
             reason=f"batched unsupported here; per-processor {FAST!r} "
                    f"fallback")
 
-    # An explicit per-processor engine: it wins over the ambient settings,
-    # loudly when they disagree.
     engine = validate_engine(requested)
-    if ambient is not None and ambient != engine:
-        warnings.warn(
-            f"explicit engine={engine!r} overrides the ambient {ambient!r} "
-            f"engine (REPRO_EIG_ENGINE / set_default_engine)",
-            RuntimeWarning, stacklevel=3)
-    return ExecutionPlan(engine=engine, batched=False, requested=requested,
-                         ambient=ambient,
+    return ExecutionPlan(engine=engine, requested=requested,
                          reason=f"explicit {engine!r} request")

@@ -117,7 +117,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from typing import List, Optional, Sequence
 
 from .analysis import format_table
@@ -125,7 +124,6 @@ from .api import (ENGINE_CHOICES, RegistryError, RunReport, RunRequest,
                   SweepSpec, adversary_names, batched_ineligibility,
                   build_executor, execute, executor_names, plan_run,
                   protocol_names, protocol_registry, run_sweep)
-from .core.engine import ENGINES, set_default_engine
 from .experiments import run_all_experiments
 from .runtime.errors import ConfigurationError
 from .runtime.simulation import choose_faulty
@@ -172,11 +170,7 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--engine", choices=ENGINE_CHOICES, default="auto",
                      help="executor: auto (planner picks batched, else fast, "
                           "by eligibility), batched (whole-run 2-D kernels), "
-                          "or a per-processor engine (numpy/fast/reference). "
-                          "An explicit choice overrides REPRO_EIG_ENGINE "
-                          "with a warning.")
-    run.add_argument("--batched", action="store_true",
-                     help="deprecated alias for --engine batched")
+                          "or a per-processor engine (numpy/fast/reference)")
     run.add_argument("--json", action="store_true",
                      help="print the structured RunReport as JSON")
 
@@ -411,11 +405,6 @@ def _parser() -> argparse.ArgumentParser:
     experiments.add_argument("--scale", choices=("small", "paper"), default="small")
     experiments.add_argument("--only", nargs="*", default=None,
                              help="experiment ids to include (e.g. E1 E8)")
-    experiments.add_argument("--engine", choices=ENGINES, default=None,
-                             help="pin the ambient EIG engine for every "
-                                  "execution (fast/reference disable "
-                                  "batching; numpy keeps it); default lets "
-                                  "the planner pick per cell")
     return parser
 
 
@@ -427,22 +416,11 @@ def _execute_or_exit(request: RunRequest) -> RunReport:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    engine = args.engine
-    if args.batched:
-        if engine in ("auto", "numpy", "batched"):
-            # Batched runs on the numpy storage layer, so --batched composes
-            # with those; it IS the batched request.
-            engine = "batched"
-        else:
-            warnings.warn(
-                f"--batched is a deprecated alias for --engine batched; "
-                f"honouring the explicit --engine {engine}", RuntimeWarning,
-                stacklevel=2)
     request = build_request(args.protocol, args.n, args.t, b=args.b,
                             value=args.value, faults=args.faults,
                             source_faulty=args.source_faulty,
                             adversary=args.adversary, seed=args.seed,
-                            engine=engine)
+                            engine=args.engine)
     report = _execute_or_exit(request)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -710,7 +688,7 @@ def _command_validate(args: argparse.Namespace) -> int:
                         "adversary": request.scenario or request.adversary})
             spec, config, faulty, adversary = request.resolve_parts()
             plan = plan_run(request, spec, config, faulty, adversary)
-            row["resolved"] = plan.resolved
+            row["resolved"] = plan.engine
             reason = batched_ineligibility(spec, config, faulty, adversary)
             row["batched"] = ("eligible" if reason is None
                               else f"fallback: {reason}")
@@ -959,26 +937,7 @@ def _command_mc(args: argparse.Namespace) -> int:
     return 2 if not result.complete else 1
 
 
-def _select_ambient_engine(engine: Optional[str]) -> None:
-    """Pin the ambient engine process-wide and export it for pool workers.
-
-    Setting ``REPRO_EIG_ENGINE`` alongside the in-process default is what
-    carries the choice into the parallel executor's process pool (worker
-    initialisers re-read the environment on spawn).  The façade's ``auto``
-    planner defers to this ambient choice: ``fast``/``reference`` also
-    disable batched stepping, ``numpy`` keeps it for eligible cells.
-    """
-    if engine is None:
-        return
-    try:
-        set_default_engine(engine)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    os.environ["REPRO_EIG_ENGINE"] = engine
-
-
 def _command_experiments(args: argparse.Namespace) -> int:
-    _select_ambient_engine(args.engine)
     tables = run_all_experiments(scale=args.scale)
     wanted = None
     if args.only:

@@ -11,8 +11,7 @@ from .algorithm_b import (AlgorithmBSpec, algorithm_b_blocks,
 from .algorithm_c import (AlgorithmCProcessor, AlgorithmCSpec,
                           algorithm_c_max_message_entries, algorithm_c_resilience,
                           algorithm_c_rounds)
-from .engine import (available_engines, get_default_engine, numpy_available,
-                     set_default_engine, use_engine, validate_engine)
+from .engine import available_engines, numpy_available, validate_engine
 from .exponential import (ExponentialSpec, exponential_max_message_entries,
                           exponential_resilience, exponential_rounds,
                           exponential_schedule)
@@ -39,8 +38,7 @@ __all__ = [
     "ProcessorId", "LabelSequence", "child_labels", "corresponding_processor",
     "sequences_of_length", "count_sequences_of_length",
     # engines
-    "get_default_engine", "set_default_engine", "use_engine", "validate_engine",
-    "available_engines", "numpy_available",
+    "validate_engine", "available_engines", "numpy_available",
     "SequenceIndex", "sequence_index",
     # trees & conversions
     "InfoGatheringTree", "RepetitionTree", "FlatEIGTree", "FlatRepetitionTree",

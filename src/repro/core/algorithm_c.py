@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .engine import FAST, NUMPY, validate_engine
+from .engine import FAST, NUMPY, tree_engine
 from .fault_discovery import FaultTracker, window_majority
 from .fault_masking import (discover_and_mask, gather_level_flat,
                             gather_level_numpy, mask_inbox)
@@ -114,8 +114,7 @@ class AlgorithmCProcessor(AgreementProtocol):
     def __init__(self, pid: ProcessorId, config: ProtocolConfig,
                  first_round: int = 1, last_round: Optional[int] = None,
                  initial_root: Optional[Value] = None,
-                 tracker: Optional[FaultTracker] = None,
-                 engine: Optional[str] = None) -> None:
+                 tracker: Optional[FaultTracker] = None) -> None:
         super().__init__(pid, config)
         if first_round not in (1, 2):
             raise ConfigurationError("Algorithm C can only start at round 1 or 2")
@@ -124,7 +123,7 @@ class AlgorithmCProcessor(AgreementProtocol):
         if self.last_round < max(2, first_round):
             raise ConfigurationError(
                 f"Algorithm C needs at least two rounds (got last_round={self.last_round})")
-        self.engine = validate_engine(engine)
+        self.engine = tree_engine(config.engine)
         self._fast = self.engine == FAST
         self._numpy = self.engine == NUMPY
         self._array_backed = self._fast or self._numpy

@@ -1,4 +1,4 @@
-"""EIG engine selection: flat-array fast, vectorized numpy, and dict reference.
+"""EIG engine names: flat-array fast, vectorized numpy, and dict reference.
 
 The package ships three interchangeable implementations of the Exponential
 Information Gathering substrate:
@@ -13,29 +13,25 @@ Information Gathering substrate:
   Fault Discovery Rule are one vectorized ``bincount`` majority vote per level
   over a ``(parents, branch)`` reshape.  **Optional**: it registers only when
   numpy is importable (:func:`numpy_available`); selecting it without numpy
-  raises, and an environment request for it degrades to ``"fast"`` with a
-  warning.
+  raises.
 * ``"reference"`` — the original ``Dict[LabelSequence, Value]`` trees with the
   recursive-specification conversion functions.  It is kept verbatim as the
   executable specification: property tests assert that all engines produce
   identical decisions, discoveries and conversions, and the perf benchmarks
   use it as the before/after baseline.
 
-The engine is chosen per processor at construction time.  The default can be
-set process-wide (:func:`set_default_engine`), temporarily
-(:func:`use_engine`), or via the ``REPRO_EIG_ENGINE`` environment variable —
-the latter is how the parallel experiment runner propagates the choice to its
-worker processes.  An invalid environment value is **not** silently accepted:
-it falls back to ``"fast"`` and emits a :class:`RuntimeWarning` naming both
-the bad value and the fallback.
+The engine is a field of the run: :attr:`ProtocolConfig.engine
+<repro.core.protocol.ProtocolConfig.engine>`.  Every processor a run builds
+receives that config — the correct processors, the adversary's shadows, and
+the hybrid's Algorithm C machine built at the shift — so all of them store
+their trees the same way.  There is no process-wide default to set; a
+request's ``engine`` reaches the config through the planner
+(:mod:`repro.api.planner`).
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from contextlib import contextmanager
-from typing import Iterator, Optional, Tuple
+from typing import Tuple
 
 FAST = "fast"
 NUMPY = "numpy"
@@ -43,17 +39,18 @@ REFERENCE = "reference"
 
 ENGINES = (FAST, NUMPY, REFERENCE)
 
-#: The batched whole-run executor (``run_agreement(..., batched=True)``,
-#: ``repro run --batched``).  Not a per-processor engine — it replaces the
-#: per-processor stepping loop itself with 2-D kernels over all correct
-#: processors — but benchmarks and the CLI select it alongside the engines,
-#: so it is named here.  It runs on the ``"numpy"`` storage layer and is
-#: available exactly when that engine is (see :func:`batched_available`);
+#: The batched whole-run executor.  Not a per-processor engine — it replaces
+#: the per-processor stepping loop itself with 2-D kernels over all correct
+#: processors — but a run's config names it like one: ``run_agreement``
+#: takes the batched path exactly when ``config.engine`` is ``"batched"``,
+#: and every machine such a run builds stores numpy levels
+#: (:func:`tree_engine`).  Available exactly when numpy is importable;
 #: per-run eligibility (the EIG specs, Algorithm C, and the hybrid) is
 #: decided by :func:`repro.runtime.batched.batched_supported`.
 BATCHED = "batched"
 
-_ENV_VAR = "REPRO_EIG_ENGINE"
+#: Every value :attr:`ProtocolConfig.engine` accepts.
+CONFIG_ENGINES = ENGINES + (BATCHED,)
 
 
 def numpy_available() -> bool:
@@ -68,96 +65,36 @@ def batched_available() -> bool:
 
 
 def available_engines() -> Tuple[str, ...]:
-    """The engines that can actually be selected in this process."""
+    """The per-processor engines that can actually be selected in this process."""
     if numpy_available():
         return ENGINES
     return (FAST, REFERENCE)
 
 
-def _engine_from_environment() -> str:
-    """Resolve the process default from ``REPRO_EIG_ENGINE`` (warn, never raise)."""
-    requested = os.environ.get(_ENV_VAR)
-    if requested is None or requested == FAST:
-        return FAST
-    if requested not in ENGINES:
-        warnings.warn(
-            f"ignoring invalid {_ENV_VAR}={requested!r} (expected one of "
-            f"{ENGINES}); falling back to the {FAST!r} engine",
-            RuntimeWarning, stacklevel=3)
-        return FAST
-    if requested == NUMPY and not numpy_available():
-        warnings.warn(
-            f"{_ENV_VAR}={NUMPY!r} requested but numpy is not installed; "
-            f"falling back to the {FAST!r} engine",
-            RuntimeWarning, stacklevel=3)
-        return FAST
-    return requested
+def validate_engine(engine: str) -> str:
+    """Return *engine* when this process can run it.
 
-
-_default_engine = _engine_from_environment()
-
-
-def get_default_engine() -> str:
-    """The engine used by processors that do not request one explicitly."""
-    return _default_engine
-
-
-def ambient_engine() -> Optional[str]:
-    """The engine the *environment* asked for, or ``None`` when unconstrained.
-
-    "Ambient" means a choice made outside the individual run request: the
-    ``REPRO_EIG_ENGINE`` environment variable, or a process-wide
-    :func:`set_default_engine` call that moved the default off ``"fast"``.
-    The execution planner (:mod:`repro.api.planner`) lets its ``"auto"``
-    resolution defer to an ambient choice, while an **explicit** engine on a
-    request overrides it with a warning — the request is the more specific
-    instruction.
-
-    A ``set_default_engine("fast")`` call is indistinguishable from the
-    built-in default and therefore reads as unconstrained; select ``"fast"``
-    per request (or via the environment variable) when it must win.
+    Raises :class:`~repro.runtime.errors.ConfigurationError` for names outside
+    :data:`CONFIG_ENGINES`, and for ``"numpy"`` or ``"batched"`` when numpy
+    is not installed (both stay strictly optional).
     """
-    requested = os.environ.get(_ENV_VAR)
-    if requested in ENGINES and not (requested == NUMPY
-                                     and not numpy_available()):
-        return requested
-    # An invalid or unusable environment request falls through to the
-    # process default, which may itself carry an explicit pin.
-    if _default_engine != FAST:
-        return _default_engine
-    return None
-
-
-def set_default_engine(engine: str) -> None:
-    """Set the process-wide default engine (one of :data:`ENGINES`)."""
-    global _default_engine
-    _default_engine = validate_engine(engine)
-
-
-def validate_engine(engine: Optional[str]) -> str:
-    """Normalise an engine name, substituting the default for ``None``.
-
-    Raises :class:`ValueError` for unknown names and for ``"numpy"`` when
-    numpy is not installed (the engine stays strictly optional).
-    """
-    if engine is None:
-        return _default_engine
-    if engine not in ENGINES:
-        raise ValueError(f"unknown EIG engine {engine!r}; expected one of {ENGINES}")
-    if engine == NUMPY and not numpy_available():
-        raise ValueError(
-            f"EIG engine {NUMPY!r} requires numpy, which is not installed; "
+    # Imported here: repro.runtime imports this module while it initialises.
+    from ..runtime.errors import ConfigurationError
+    if engine not in CONFIG_ENGINES:
+        raise ConfigurationError(
+            f"unknown EIG engine {engine!r}; expected one of {CONFIG_ENGINES}")
+    if engine in (NUMPY, BATCHED) and not numpy_available():
+        raise ConfigurationError(
+            f"EIG engine {engine!r} requires numpy, which is not installed; "
             f"available engines: {available_engines()}")
     return engine
 
 
-@contextmanager
-def use_engine(engine: str) -> Iterator[str]:
-    """Temporarily switch the default engine (used by benchmarks and tests)."""
-    global _default_engine
-    previous = _default_engine
-    _default_engine = validate_engine(engine)
-    try:
-        yield _default_engine
-    finally:
-        _default_engine = previous
+def tree_engine(engine: str) -> str:
+    """The per-processor storage a run on *engine* builds its trees with.
+
+    A batched run stores numpy levels in every machine it builds, so any
+    machine an adversary builds outside the batched runner's shadow rows
+    still broadcasts level messages the runner ingests zero-copy.
+    """
+    return NUMPY if engine == BATCHED else engine

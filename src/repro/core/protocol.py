@@ -19,6 +19,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
+from .engine import FAST, validate_engine
 from .sequences import ProcessorId
 from .values import DEFAULT_VALUE, Value, default_domain
 from ..runtime.errors import ConfigurationError, ProtocolViolationError
@@ -47,6 +48,13 @@ class ProtocolConfig:
         (``n < 3t + 1``, down to ``n = 3``).  The theorems' guarantees do
         not apply there — that is the point: the adversary-search harness
         hunts such cells for concrete agreement violations.
+    engine:
+        How the run executes (:mod:`repro.core.engine`): ``"fast"`` (the
+        default), ``"numpy"`` or ``"reference"`` per-processor trees, or
+        ``"batched"`` — the whole-run executor, whose machines store numpy
+        levels.  Every processor the run builds reads it from here.  An
+        unknown name, or a numpy-backed one without numpy, raises
+        :class:`ConfigurationError`.  Outcomes never depend on it.
     """
 
     n: int
@@ -55,8 +63,11 @@ class ProtocolConfig:
     initial_value: Value = DEFAULT_VALUE
     domain: Tuple[Value, ...] = field(default_factory=default_domain)
     allow_unsafe: bool = False
+    engine: str = FAST
 
     def __post_init__(self) -> None:
+        if self.engine != FAST:
+            validate_engine(self.engine)
         floor = 3 if self.allow_unsafe else 4
         if self.n < floor:
             raise ConfigurationError(

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .engine import FAST, NUMPY, validate_engine
+from .engine import FAST, NUMPY, tree_engine
 from .fault_discovery import (FaultTracker, discover_during_conversion,
                               discover_during_conversion_flat,
                               discover_during_conversion_numpy)
@@ -113,6 +113,13 @@ class ShiftingEIGProcessor(AgreementProtocol):
     Algorithms A and B are multi-segment schedules; the hybrid's A→B portion
     is a schedule whose segments change conversion function midway.
 
+    The tree storage follows ``config.engine``
+    (:func:`~repro.core.engine.tree_engine`): ``"fast"`` (flat-array buffers,
+    batched conversion, by-reference level messages), ``"numpy"`` (the same
+    layout on ndarrays, also used by every machine of a ``"batched"`` run)
+    or ``"reference"`` (the dict-based executable specification).  All
+    engines produce identical decisions, discoveries and metrics.
+
     Parameters
     ----------
     decide_at_end:
@@ -120,23 +127,16 @@ class ShiftingEIGProcessor(AgreementProtocol):
         irreversible decision after the final conversion.  The hybrid embeds
         this machine as its first phase and sets this to ``False`` so the
         preferred value can be handed to Algorithm C instead.
-    engine:
-        ``"fast"`` (flat-array buffers, batched conversion, by-reference
-        level messages) or ``"reference"`` (the dict-based executable
-        specification).  ``None`` selects the process default
-        (:func:`repro.core.engine.get_default_engine`).  Both engines produce
-        identical decisions, discoveries and metrics.
     """
 
     def __init__(self, pid: ProcessorId, config: ProtocolConfig,
                  schedule: ShiftSchedule, decide_at_end: bool = True,
-                 enable_fault_discovery: bool = True,
-                 engine: Optional[str] = None) -> None:
+                 enable_fault_discovery: bool = True) -> None:
         super().__init__(pid, config)
         self.schedule = schedule
         self.decide_at_end = decide_at_end
         self.enable_fault_discovery = enable_fault_discovery
-        self.engine = validate_engine(engine)
+        self.engine = tree_engine(config.engine)
         self._fast = self.engine == FAST
         self._numpy = self.engine == NUMPY
         self._array_backed = self._fast or self._numpy

@@ -131,14 +131,14 @@ def _report_for_scenario(spec: ProtocolSpec, n: int, t: int,
                          scenario: Scenario) -> RunReport:
     """In-process run of one hand-built scenario, reported truthfully.
 
-    Hand-built scenarios execute under the process-default engine via
+    Hand-built scenarios execute on their config's engine via
     :func:`measure`; the report's engine audit trail records that engine
     rather than pretending a planner ran.
     """
-    from ..core.engine import get_default_engine
-    engine = get_default_engine()
-    return RunReport.from_result(measure(spec, n, t, scenario),
-                                 engine=engine, engine_resolved=engine,
+    result = measure(spec, n, t, scenario)
+    engine = result.config.engine
+    return RunReport.from_result(result, engine=engine,
+                                 engine_resolved=engine,
                                  scenario=scenario.name)
 
 

@@ -49,10 +49,14 @@ Exponential Algorithm, Algorithms A and B), standalone Algorithm C, and the
 hybrid, when numpy is importable.  A run steps as a plan of phases
 (:class:`_ProbeFacts`): the shift-schedule EIG phase — the whole run, or the
 hybrid's A→B prefix — then, for C and the hybrid, an Algorithm C phase on the
-repetition index (see :meth:`_BatchedRun._c_round`).  ``run_agreement(...,
-batched=True)`` falls back cleanly to the per-processor driver for
-everything else (the baselines, batched-declining adversaries, or a
-numpy-less environment).
+repetition index (see :meth:`_BatchedRun._c_round`).  ``run_agreement``
+takes this path when the run's ``config.engine`` is ``"batched"``, and falls
+back to per-processor numpy machines for everything else (the baselines and
+batched-declining adversaries).  The same config reaches every machine the
+run builds, so any machine the adversary builds outside the shadow rows
+stores numpy levels and broadcasts a
+:class:`~repro.runtime.messages.NumpyLevelMessage`, which the claim-row
+builder takes zero-copy.
 
 The gather, trigger, and conversion kernels step each level stack in
 contiguous, cache-sized row blocks
@@ -72,7 +76,7 @@ from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Mapping,
 
 from ..adversary.base import Adversary, AdversaryContext, ShadowAdversary
 from ..core.algorithm_c import AlgorithmCProcessor, shift_intermediate_codes
-from ..core.engine import NUMPY, numpy_available, use_engine
+from ..core.engine import numpy_available
 from ..core.fault_discovery import (FaultTracker,
                                     discover_during_conversion_batched)
 from ..core.fault_masking import (ChildCounts, discover_and_mask_batched,
@@ -93,7 +97,7 @@ if TYPE_CHECKING:  # imported only for annotations, to avoid an import cycle
 
 
 def batched_supported(spec: "ProtocolSpec", config: "ProtocolConfig") -> bool:
-    """Whether ``run_agreement(..., batched=True)`` would take the batched path.
+    """Whether a ``"batched"`` run of *spec* would take the batched path.
 
     True exactly when numpy is importable and *spec* builds plain
     :class:`ShiftingEIGProcessor` machines that decide at the end of their
@@ -194,13 +198,8 @@ def run_batched_if_supported(spec: "ProtocolSpec", config: "ProtocolConfig",
     participants = [p for p in correct if p != config.source]
     if not participants:
         return None
-    # The numpy engine becomes the process default for the duration of the
-    # run so any protocol machine the adversary builds outside the shadow
-    # proxy stores ndarray levels and broadcasts NumpyLevelMessages, which
-    # the claim-row builder ingests zero-copy.
-    with use_engine(NUMPY):
-        return _BatchedRun(spec, config, faulty_set, adversary, seed, probe,
-                           correct, participants).run()
+    return _BatchedRun(spec, config, faulty_set, adversary, seed, probe,
+                       correct, participants).run()
 
 
 class _BroadcastTable(Mapping):
@@ -310,11 +309,11 @@ class _ShadowProcessor:
     def __getattr__(self, name):
         # Only reached for attributes outside the slots/protocol surface.
         raise AttributeError(
-            f"row-backed shadow processor has no attribute {name!r}: under "
-            f"run_agreement(batched=True) shadows expose only the "
-            f"outgoing/incoming protocol surface. An adversary that "
-            f"introspects deeper shadow state should run with batched=False "
-            f"(the per-processor driver builds full protocol machines)")
+            f"row-backed shadow processor has no attribute {name!r}: in a "
+            f"'batched' run shadows expose only the outgoing/incoming "
+            f"protocol surface. An adversary that introspects deeper shadow "
+            f"state should run on a per-processor engine (which builds full "
+            f"protocol machines)")
 
 
 class _BatchedRun:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from ..adversary.base import Adversary, AdversaryContext, BenignAdversary
+from ..core.engine import BATCHED
 from ..core.sequences import ProcessorId
 from ..core.values import Value
 
@@ -121,7 +122,7 @@ def choose_faulty(n: int, count: int, source_faulty: bool = False,
 def run_agreement(spec: ProtocolSpec, config: ProtocolConfig,
                   faulty: Iterable[ProcessorId] = (),
                   adversary: Optional[Adversary] = None,
-                  seed: int = 0, batched: bool = False) -> RunResult:
+                  seed: int = 0) -> RunResult:
     """Execute one agreement instance and return its :class:`RunResult`.
 
     Parameters
@@ -129,7 +130,14 @@ def run_agreement(spec: ProtocolSpec, config: ProtocolConfig,
     spec:
         The algorithm to run (e.g. :class:`repro.core.hybrid.HybridSpec`).
     config:
-        The instance parameters (``n``, ``t``, source, initial value, domain).
+        The instance parameters (``n``, ``t``, source, initial value, domain)
+        and the engine every processor of the run is built with.  With
+        ``config.engine == "batched"`` all correct processors' rounds run as
+        whole-run 2-D numpy kernels (:mod:`repro.runtime.batched`) instead
+        of ``n − t`` per-processor state machines.  Observationally
+        identical to the per-processor engines; covers the EIG specs,
+        Algorithm C, and the hybrid, and falls back to per-processor numpy
+        machines for the baselines and batched-declining adversaries.
     faulty:
         The set of Byzantine processors (at most ``t`` for the guarantees of
         the theorems to apply; larger sets are allowed for stress testing).
@@ -138,14 +146,6 @@ def run_agreement(spec: ProtocolSpec, config: ProtocolConfig,
         :class:`~repro.adversary.base.BenignAdversary`.
     seed:
         Seed forwarded to the adversary for reproducible randomised behaviour.
-    batched:
-        When ``True``, execute all correct processors' rounds as whole-run
-        2-D numpy kernels (:mod:`repro.runtime.batched`) instead of stepping
-        ``n − t`` per-processor state machines.  Observationally identical to
-        the per-processor engines; covers the EIG specs, Algorithm C, and the
-        hybrid, and falls back cleanly to the per-processor driver for the
-        baselines, batched-declining adversaries, or when numpy is
-        unavailable.
     """
     spec.validate(config)
     faulty_set = frozenset(faulty)
@@ -154,7 +154,7 @@ def run_agreement(spec: ProtocolSpec, config: ProtocolConfig,
         raise ConfigurationError(f"faulty set mentions unknown processors {sorted(unknown)}")
 
     adversary = adversary if adversary is not None else BenignAdversary()
-    if batched:
+    if config.engine == BATCHED:
         from .batched import run_batched_if_supported
         result = run_batched_if_supported(spec, config, faulty_set, adversary,
                                           seed)
@@ -227,8 +227,8 @@ def run_agreement(spec: ProtocolSpec, config: ProtocolConfig,
 
 def run_many(spec: ProtocolSpec, config: ProtocolConfig,
              scenarios: Sequence[Tuple[Iterable[ProcessorId], Adversary]],
-             seed: int = 0, batched: bool = False) -> Tuple[RunResult, ...]:
+             seed: int = 0) -> Tuple[RunResult, ...]:
     """Run the same protocol/config under several (faulty set, adversary) pairs."""
     return tuple(run_agreement(spec, config, faulty, adversary,
-                               seed=seed + index, batched=batched)
+                               seed=seed + index)
                  for index, (faulty, adversary) in enumerate(scenarios))

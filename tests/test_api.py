@@ -3,12 +3,13 @@
 Covers the registries (names, parameter schemas, error reporting), the
 RunRequest/RunReport JSON round trips — the property test sweeps every
 registered protocol × adversary pairing at small n — the engine planner's
-``auto`` resolution and explicit-overrides-ambient precedence, and the
-equivalence of façade executions to hand-built ``run_agreement`` calls.
+``auto`` resolution and explicit choices, runs that overlap on two threads
+keeping their own engines, and the equivalence of façade executions to
+hand-built ``run_agreement`` calls.
 """
 
 import json
-import warnings
+import threading
 
 import pytest
 
@@ -233,13 +234,6 @@ class TestScenarioRequests:
 
 
 class TestPlanner:
-    @pytest.fixture(autouse=True)
-    def _restore_engine(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EIG_ENGINE", raising=False)
-        previous = engine_module.get_default_engine()
-        yield
-        engine_module.set_default_engine(previous)
-
     @pytest.mark.skipif(not engine_module.batched_available(),
                         reason="numpy not installed")
     def test_auto_resolves_to_batched_for_eligible_specs(self):
@@ -248,7 +242,7 @@ class TestPlanner:
         for protocol in ("exponential", "algorithm-a", "algorithm-b", "psl",
                          "algorithm-c", "hybrid"):
             plan = plan_request(small_request(protocol))
-            assert plan.resolved == "batched", protocol
+            assert plan.engine == "batched", protocol
             report = execute(small_request(protocol))
             assert report.engine_resolved == "batched", protocol
 
@@ -259,44 +253,24 @@ class TestPlanner:
         # small per-processor state, where numpy's per-call overhead loses.
         for protocol in ("phase-king", "dolev-strong"):
             plan = plan_request(small_request(protocol))
-            assert plan.resolved == "fast", protocol
-            assert not plan.batched, protocol
+            assert plan.engine == "fast", protocol
             report = execute(small_request(protocol))
             assert report.engine_resolved == "fast", protocol
         # An adversary that declines batching demotes an eligible spec too.
         for adversary in ("crash-recovery", "receive-omission"):
             request = small_request("exponential", adversary=adversary)
             plan = plan_request(request)
-            assert plan.resolved == "fast", adversary
+            assert plan.engine == "fast", adversary
             declined = adversary_registry()[adversary].factory
             assert declined.batched_fallback_reason in plan.reason, adversary
             assert execute(request).engine_resolved == "fast", adversary
-
-    @pytest.mark.skipif(not engine_module.numpy_available(),
-                        reason="numpy not installed")
-    @pytest.mark.parametrize("pin", ["env", "set_default_engine"])
-    def test_ambient_numpy_pins_ineligible_runs_and_keeps_batched(
-            self, monkeypatch, pin):
-        if pin == "env":
-            monkeypatch.setenv("REPRO_EIG_ENGINE", "numpy")
-        else:
-            engine_module.set_default_engine("numpy")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # deference must not warn
-            phase_king = execute(small_request("phase-king"))
-            exponential = execute(small_request("exponential"))
-            crash = plan_request(small_request(
-                "exponential", adversary="crash-recovery"))
-        assert phase_king.engine_resolved == "numpy"
-        assert exponential.engine_resolved == "batched"
-        assert crash.resolved == "numpy"
 
     def test_auto_falls_back_to_fast_without_numpy(self, monkeypatch):
         monkeypatch.setattr(planner_module, "numpy_available", lambda: False)
         monkeypatch.setattr(batched_module, "numpy_available", lambda: False)
         for protocol in ("exponential", "hybrid"):
             plan = plan_request(small_request(protocol))
-            assert plan.resolved == "fast", protocol
+            assert plan.engine == "fast", protocol
         report = execute(small_request("exponential"))
         assert report.engine_resolved == "fast"
         assert report.agreement
@@ -318,25 +292,6 @@ class TestPlanner:
             assert report.discovered == baseline.discovered
             assert report.metrics == baseline.metrics
 
-    def test_auto_defers_to_ambient_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EIG_ENGINE", "reference")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # deference must not warn
-            plan = plan_request(small_request("exponential"))
-        assert plan.resolved == "reference"
-
-    def test_explicit_engine_overrides_env_var_with_warning(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EIG_ENGINE", "reference")
-        with pytest.warns(RuntimeWarning, match="overrides the ambient"):
-            report = execute(small_request("exponential", engine="fast"))
-        assert report.engine_resolved == "fast"
-
-    def test_explicit_engine_overrides_set_default_with_warning(self):
-        engine_module.set_default_engine("reference")
-        with pytest.warns(RuntimeWarning, match="overrides the ambient"):
-            report = execute(small_request("exponential", engine="fast"))
-        assert report.engine_resolved == "fast"
-
     @pytest.mark.skipif(not engine_module.batched_available(),
                         reason="numpy not installed")
     def test_explicit_batched_degrades_with_warning_when_unsupported(self):
@@ -345,20 +300,51 @@ class TestPlanner:
         assert report.engine_resolved == "fast"
         assert report.agreement
 
-    def test_unusable_numpy_env_falls_through_to_default_pin(self, monkeypatch):
-        # REPRO_EIG_ENGINE=numpy on a numpy-less box must not mask a
-        # set_default_engine("reference") pin from the planner.
-        monkeypatch.setenv("REPRO_EIG_ENGINE", "numpy")
-        monkeypatch.setattr(engine_module, "numpy_available", lambda: False)
-        engine_module.set_default_engine("reference")
-        assert engine_module.ambient_engine() == "reference"
 
-    def test_matching_explicit_and_ambient_do_not_warn(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EIG_ENGINE", "fast")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = execute(small_request("exponential", engine="fast"))
-        assert report.engine_resolved == "fast"
+class TestOverlappingRuns:
+    @pytest.mark.skipif(not engine_module.batched_available(),
+                        reason="numpy not installed")
+    def test_overlapping_runs_keep_their_own_engine(self, monkeypatch):
+        """A ``reference`` run parked on another thread never steers ``auto``.
+
+        ``repro serve`` runs ``execute()`` on two worker threads, so one
+        request's engine must not leak into a request that overlaps it, nor
+        outlive it.  The parked run waits on an event, so the overlap is
+        deterministic.
+        """
+        from repro.api import facade
+        real_run_agreement = facade.run_agreement
+        parked, release = threading.Event(), threading.Event()
+
+        def parking_run_agreement(*args, **kwargs):
+            if threading.current_thread().name == "reference-run":
+                parked.set()
+                assert release.wait(timeout=60)
+            return real_run_agreement(*args, **kwargs)
+
+        monkeypatch.setattr(facade, "run_agreement", parking_run_agreement)
+        auto = RunRequest(protocol="exponential", n=7, t=2, initial_value=1,
+                          faulty=tuple(choose_faulty(7, 2)),
+                          adversary="two-faced")
+        reports = {}
+        worker = threading.Thread(
+            name="reference-run",
+            target=lambda: reports.setdefault(
+                "reference", execute(auto.with_engine("reference"))))
+        worker.start()
+        try:
+            assert parked.wait(timeout=60)
+            overlapping = execute(auto)
+            assert overlapping.engine_resolved == "batched"
+        finally:
+            release.set()
+            worker.join(timeout=60)
+        assert not worker.is_alive()
+        after = execute(auto)
+        assert after.engine_resolved == "batched"
+        assert reports["reference"].engine_resolved == "reference"
+        assert (reports["reference"].outcome_dict()
+                == overlapping.outcome_dict() == after.outcome_dict())
 
 
 class TestExecuteMany:

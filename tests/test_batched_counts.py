@@ -12,6 +12,7 @@ with the adversary still unbound.
 """
 
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.baselines.phase_king import PhaseKingSpec
 from repro.core import npsupport
 from repro.core.algorithm_a import AlgorithmASpec
 from repro.core.algorithm_b import AlgorithmBSpec
-from repro.core.engine import numpy_available, use_engine
+from repro.core.engine import numpy_available
 from repro.core.exponential import ExponentialSpec
 from repro.core.hybrid import HybridSpec
 from repro.core.protocol import ProtocolConfig
@@ -73,8 +74,8 @@ def counting_small_levels():
 
 
 def _per_processor(spec, config, faulty, adversary, seed):
-    with use_engine("numpy"):
-        return run_agreement(spec, config, faulty, adversary, seed=seed)
+    return run_agreement(spec, replace(config, engine="numpy"), faulty,
+                         adversary, seed=seed)
 
 
 def _assert_identical(candidate, expected, context):
@@ -94,7 +95,8 @@ def _run_blocked(rows_per_block, adversary, seed, steps=None):
     The scalar tiny-level paths are off so the vectorized kernels run.  With
     *steps*, the block sizes of every count-kernel pass are appended to it.
     """
-    config = ProtocolConfig(n=BLOCKED_N, t=2, initial_value=1)
+    config = ProtocolConfig(n=BLOCKED_N, t=2, initial_value=1,
+                            engine="batched")
     faulty = choose_faulty(BLOCKED_N, 2, source_faulty=True)
     real_row_blocks = npsupport.row_blocks
 
@@ -118,7 +120,7 @@ def _run_blocked(rows_per_block, adversary, seed, steps=None):
                          ids=["correct-source", "faulty-source"])
 def test_counted_run_matches_per_processor_for_every_adversary(
         label, spec_factory, n, t, source_faulty):
-    config = ProtocolConfig(n=n, t=t, initial_value=1)
+    config = ProtocolConfig(n=n, t=t, initial_value=1, engine="batched")
     faulty = choose_faulty(n, t, source_faulty=source_faulty)
     for name in ADVERSARY_NAMES:
         context = (label, name, source_faulty)
@@ -167,7 +169,7 @@ def test_seeded_random_liar_reproducible_across_row_block_budgets():
 
 
 def test_ineligible_spec_returns_none_with_the_adversary_unbound():
-    config = ProtocolConfig(n=9, t=2, initial_value=1)
+    config = ProtocolConfig(n=9, t=2, initial_value=1, engine="batched")
     adversary = build_adversary("silent")
     assert run_batched_if_supported(PhaseKingSpec(), config,
                                     choose_faulty(9, 2), adversary, 0) is None
@@ -178,7 +180,7 @@ def test_ineligible_spec_returns_none_with_the_adversary_unbound():
 
 
 def test_no_correct_participant_returns_none():
-    config = ProtocolConfig(n=4, t=1, initial_value=1)
+    config = ProtocolConfig(n=4, t=1, initial_value=1, engine="batched")
     # Everyone but the source is faulty: no participant rows exist.
     assert run_batched_if_supported(
         ExponentialSpec(), config, frozenset({1, 2, 3}),

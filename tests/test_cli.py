@@ -1,7 +1,6 @@
 """Tests for the command-line interface (run / sweep / experiments)."""
 
 import json
-import os
 
 import pytest
 
@@ -78,17 +77,6 @@ class TestRunCommand:
 
 
 class TestEngineFlag:
-    @pytest.fixture(autouse=True)
-    def _restore_engine(self):
-        previous = engine_module.get_default_engine()
-        previous_env = os.environ.get("REPRO_EIG_ENGINE")
-        yield
-        engine_module.set_default_engine(previous)
-        if previous_env is None:
-            os.environ.pop("REPRO_EIG_ENGINE", None)
-        else:
-            os.environ["REPRO_EIG_ENGINE"] = previous_env
-
     def test_run_accepts_every_available_engine(self, capsys):
         for name in engine_module.available_engines():
             code = main(["run", "--protocol", "exponential", "--n", "7",
@@ -111,20 +99,11 @@ class TestEngineFlag:
     def test_run_batched_flag(self, capsys):
         code = main(["run", "--protocol", "exponential", "--n", "7",
                      "--t", "2", "--adversary", "two-faced-source",
-                     "--source-faulty", "--batched", "--json"])
+                     "--source-faulty", "--engine", "batched", "--json"])
         assert code == 0
-        assert json.loads(capsys.readouterr().out)["engine_resolved"] == "batched"
-
-    @pytest.mark.skipif(not engine_module.batched_available(),
-                        reason="numpy not installed")
-    def test_batched_flag_composes_with_numpy_engine(self, capsys):
-        # --batched runs on the numpy layer, so --engine numpy must not
-        # degrade it to the per-processor path.
-        code = main(["run", "--protocol", "exponential", "--n", "7",
-                     "--t", "2", "--adversary", "silent",
-                     "--batched", "--engine", "numpy", "--json"])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["engine_resolved"] == "batched"
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["engine"] == "batched"
+        assert payload["engine_resolved"] == "batched"
 
     @pytest.mark.skipif(not engine_module.batched_available(),
                         reason="numpy not installed")
@@ -142,23 +121,39 @@ class TestEngineFlag:
             main(["run", "--protocol", "exponential", "--n", "7", "--t", "2",
                   "--engine", "numpy"])
 
-    def test_explicit_engine_overrides_environment_with_warning(
-            self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_EIG_ENGINE", "reference")
-        with pytest.warns(RuntimeWarning, match="overrides the ambient"):
-            code = main(["run", "--protocol", "exponential", "--n", "7",
-                         "--t", "2", "--adversary", "silent",
-                         "--engine", "fast", "--json"])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["engine_resolved"] == "fast"
+    HYBRID_CELL = ["run", "--protocol", "hybrid", "--b", "3", "--n", "10",
+                   "--t", "3", "--source-faulty",
+                   "--adversary", "equivocating-source-allies", "--json"]
 
-    def test_experiments_accept_engine(self, capsys):
-        code = main(["experiments", "--scale", "small", "--only", "E8",
-                     "--engine", "fast"])
-        assert code == 0
-        assert "E8-dominance" in capsys.readouterr().out
-        # The ambient choice is exported for parallel workers.
-        assert os.environ["REPRO_EIG_ENGINE"] == "fast"
+    def _hybrid_report(self, capsys, engine):
+        assert main(self.HYBRID_CELL + ["--engine", engine]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["engine_resolved"] == engine
+        for key in ("engine", "engine_resolved", "metadata"):
+            report.pop(key, None)
+        return report
+
+    @pytest.mark.parametrize("engine", [
+        "fast",
+        pytest.param("numpy", marks=pytest.mark.skipif(
+            not engine_module.numpy_available(), reason="numpy not installed")),
+        pytest.param("batched", marks=pytest.mark.skipif(
+            not engine_module.batched_available(),
+            reason="numpy not installed"))])
+    def test_hybrid_report_matches_reference(self, capsys, engine):
+        # The hybrid builds its Algorithm C machine mid-run; --engine must
+        # reach it through the run's config like every other machine.
+        assert (self._hybrid_report(capsys, engine)
+                == self._hybrid_report(capsys, "reference"))
+
+    def test_engine_is_chosen_only_by_run_engine(self, capsys):
+        # `run --engine` is the one engine flag: neither `run --batched`
+        # nor `experiments --engine` parses.
+        with pytest.raises(SystemExit):
+            main(["run", "--batched"])
+        with pytest.raises(SystemExit):
+            main(["experiments", "--engine", "fast"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -403,8 +398,6 @@ class TestValidateCommand:
             self, capsys, monkeypatch):
         # The CI lint job runs this cross-product; pinning the resolved
         # engine per row turns it into a planner-drift check.
-        monkeypatch.delenv("REPRO_EIG_ENGINE", raising=False)
-        assert engine_module.ambient_engine() is None
         assert main(["validate", "--all-registered", "--json"]) == 0
         by_protocol = {}
         for row in json.loads(capsys.readouterr().out):

@@ -12,6 +12,7 @@ checks of the corruption hook specifically.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -258,17 +259,14 @@ class TestCorruptionParity:
         config = ProtocolConfig(n=7, t=2, initial_value=1)
         faulty = frozenset({5, 6})
 
-        def run(batched):
-            from repro.core.engine import use_engine
-            engine = "numpy" if batched else "reference"
-            with use_engine(engine):
-                return run_agreement(
-                    spec, config, faulty,
-                    TransientCorruptionAdversary(corrupt_rounds=2, victims=2,
-                                                 flips=2),
-                    seed=5, batched=batched)
+        def run(engine):
+            return run_agreement(
+                spec, replace(config, engine=engine), faulty,
+                TransientCorruptionAdversary(corrupt_rounds=2, victims=2,
+                                             flips=2),
+                seed=5)
 
-        reference, batched = run(False), run(True)
+        reference, batched = run("reference"), run("batched")
         assert batched.decisions == reference.decisions
         assert batched.discovered == reference.discovered
         assert batched.metrics.summary() == reference.metrics.summary()
@@ -276,7 +274,7 @@ class TestCorruptionParity:
     def test_batched_gating(self):
         from repro.runtime.batched import run_batched_if_supported
         spec = ExponentialSpec()
-        config = ProtocolConfig(n=9, t=2, initial_value=1)
+        config = ProtocolConfig(n=9, t=2, initial_value=1, engine="batched")
         faulty = frozenset({7, 8})
         # Corruption-hook adversaries stay batched and match the
         # per-processor reference exactly.
@@ -286,13 +284,11 @@ class TestCorruptionParity:
                                          flips=2),
             5)
         assert batched is not None
-        from repro.core.engine import use_engine
-        with use_engine("reference"):
-            reference = run_agreement(
-                spec, config, faulty,
-                TransientCorruptionAdversary(corrupt_rounds=2, victims=2,
-                                             flips=2),
-                seed=5)
+        reference = run_agreement(
+            spec, replace(config, engine="reference"), faulty,
+            TransientCorruptionAdversary(corrupt_rounds=2, victims=2,
+                                         flips=2),
+            seed=5)
         assert batched.decisions == reference.decisions
         assert batched.metrics.summary() == reference.metrics.summary()
         # Fallback-reason adversaries decline the batched path entirely.

@@ -13,17 +13,19 @@ discoveries, and metrics (including computation units, which the engines
 charge identically by construction).  The numpy cases skip cleanly when numpy
 is not installed.
 
-The batched whole-run executor (``run_agreement(..., batched=True)``, see
-:mod:`repro.runtime.batched`) joins the end-to-end comparisons as a fourth
-mode: the specs it accelerates — the EIG specs, Algorithm C, and the hybrid
-— are pinned four ways (reference/fast/numpy/batched, including per-round
-message stats and per-processor computation units), the specs it does not
-support are pinned to fall back cleanly, and the random-liar adversary must
-stay byte-identical across all four modes for the same seed (the rng draw
-order is part of the observational contract).
+The batched whole-run executor (a run whose ``config.engine`` is
+``"batched"``, see :mod:`repro.runtime.batched`) joins the end-to-end
+comparisons as a fourth mode: the specs it accelerates — the EIG specs,
+Algorithm C, and the hybrid — are pinned four ways
+(reference/fast/numpy/batched, including per-round message stats and
+per-processor computation units), the specs it does not support are pinned
+to fall back cleanly, and the random-liar adversary must stay byte-identical
+across all four modes for the same seed (the rng draw order is part of the
+observational contract).
 """
 
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,7 +36,7 @@ from repro.core.algorithm_a import AlgorithmASpec
 from repro.core.algorithm_b import AlgorithmBSpec
 from repro.core.algorithm_c import AlgorithmCSpec
 from repro.core.hybrid import HybridSpec
-from repro.core.engine import numpy_available, use_engine
+from repro.core.engine import numpy_available
 from repro.core.exponential import ExponentialSpec
 from repro.core.protocol import ProtocolConfig
 from repro.core.resolve import (flat_converted_dict, flat_resolve_levels,
@@ -157,10 +159,8 @@ class TestBatchedResolveAgainstOracle:
 
 def _run_mode(mode, spec_factory, config, faulty, adversary, seed):
     """One full execution in an engine mode ("batched" = the whole-run path)."""
-    batched = mode == "batched"
-    with use_engine("numpy" if batched else mode):
-        return run_agreement(spec_factory(), config, faulty, adversary,
-                             seed=seed, batched=batched)
+    return run_agreement(spec_factory(), replace(config, engine=mode), faulty,
+                         adversary, seed=seed)
 
 
 def _run_engine_vs_reference(engine, spec_factory, n, t, faulty,
@@ -604,14 +604,13 @@ class TestBatchedRunEquivalence:
         assert_rows_convert_alone(state, batched_levels, conversion, t)
 
     def test_batched_flag_falls_back_cleanly_for_unsupported_specs(self):
-        """batched=True on a baseline spec runs the per-processor driver."""
+        """A "batched" run of a baseline spec runs the per-processor driver."""
         from repro.baselines.phase_king import PhaseKingSpec
         config = ProtocolConfig(n=9, t=2, initial_value=1)
         faulty = frozenset({7, 8})
-        with use_engine("numpy"):
-            batched = run_agreement(PhaseKingSpec(), config, faulty,
-                                    adversary_registry()["two-faced"](),
-                                    batched=True)
+        batched = run_agreement(PhaseKingSpec(),
+                                replace(config, engine="batched"), faulty,
+                                adversary_registry()["two-faced"]())
         reference = _run_mode("reference", PhaseKingSpec, config, faulty,
                               adversary_registry()["two-faced"](), 0)
         assert batched.decisions == reference.decisions

@@ -289,7 +289,7 @@ class TestAgreementService:
     def test_engine_variants_share_one_cache_entry(self):
         service = AgreementService()
         first = service.handle(small_request(engine="fast"))
-        second = service.handle(small_request(engine="numpy"))
+        second = service.handle(small_request(engine="reference"))
         assert second.cached
         assert second.outcome == first.outcome
 

@@ -15,6 +15,7 @@ from repro.api import (RegistryError, RunRequest, build_executor, execute,
                        execute_resilient, executor_registry)
 from repro.api import executors
 from repro.api.executors import SupervisedExecutor
+from repro.core.engine import numpy_available
 from repro.runtime.errors import (ConfigurationError, FabricError,
                                   SupervisionExhaustedError, WorkerDiedError)
 from repro.runtime.supervision import (DEFAULT_LADDER, RetryPolicy,
@@ -332,6 +333,47 @@ class TestSupervisedExecutor:
         baseline = execute(request)
         supervised = execute_resilient(request, ladder=["serial"])
         assert supervised.outcome_dict() == baseline.outcome_dict()
+
+    @staticmethod
+    def _serial_floor(monkeypatch, request):
+        """Run *request* on the serial floor; return its report and engines."""
+        from repro.core.shifting import ShiftingEIGProcessor
+        built = []
+        real_init = ShiftingEIGProcessor.__init__
+
+        def recording_init(processor, *args, **kwargs):
+            real_init(processor, *args, **kwargs)
+            built.append(processor.engine)
+
+        monkeypatch.setattr(ShiftingEIGProcessor, "__init__", recording_init)
+        with SupervisedExecutor(ladder=("serial",)) as runner:
+            runner.submit(request)
+            [(_, report)] = list(runner.iter_reports())
+        return report, built
+
+    def test_serial_floor_steps_a_batched_plan_on_fast(self, monkeypatch):
+        """The floor runs unbatched and reports the engine that ran."""
+        request = RunRequest(protocol="exponential", n=10, t=3,
+                             initial_value=1, scenario="faulty-source-allies",
+                             battery="worst-case")
+        report, built = self._serial_floor(monkeypatch, request)
+        assert report.engine_resolved == "fast"
+        assert built and set(built) == {"fast"}
+        assert report.outcome_dict() == execute(request).outcome_dict()
+
+    @pytest.mark.parametrize("engine", [
+        "reference",
+        pytest.param("numpy", marks=pytest.mark.skipif(
+            not numpy_available(), reason="numpy not installed"))])
+    def test_serial_floor_runs_an_explicit_engine_as_asked(self, monkeypatch,
+                                                           engine):
+        request = RunRequest(protocol="exponential", n=10, t=3,
+                             initial_value=1, scenario="faulty-source-allies",
+                             battery="worst-case", engine=engine)
+        report, built = self._serial_floor(monkeypatch, request)
+        assert report.engine == report.engine_resolved == engine
+        assert built and set(built) == {engine}
+        assert report.outcome_dict() == execute(request).outcome_dict()
 
     def test_pool_only_ladder_matches_execute(self):
         request = small_request()
