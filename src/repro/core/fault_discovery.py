@@ -223,12 +223,13 @@ def _scan_parent_labels(index: SequenceIndex, parent_level: int, triggers,
                         charge_per_parent: int) -> int:
     """One label scan over precomputed per-parent *triggers*.
 
-    The per-label half of every vectorized discovery pass, shared by the
-    per-processor kernels and the batched run executor: walks the (≤ n)
-    sender labels of *parent_level*, skips suspects and already-discovered
-    labels, optionally filters to *present* parents, and applies the
-    reference early-skip charge accounting.  Updates *discovered* in place
-    and returns the meter charge.
+    The per-label half of the per-processor numpy engine's discovery passes
+    (the batched executor's twin is :func:`scan_first_fired`): walks the
+    (≤ n) sender labels of *parent_level*, skips suspects and
+    already-discovered labels, optionally filters to *present* parents
+    (a per-processor tree may miss nodes), and applies the reference
+    early-skip charge accounting.  Updates *discovered* in place and
+    returns the meter charge.
     """
     charge = 0
     for label, ids in index.ids_by_label_np(parent_level).items():
@@ -243,118 +244,143 @@ def _scan_parent_labels(index: SequenceIndex, parent_level: int, triggers,
     return charge
 
 
-def _scan_fired_labels(index: SequenceIndex, parent_level: int, fired_ids,
-                       suspects: Set[ProcessorId],
-                       discovered: Set[ProcessorId],
-                       charge_per_parent: int) -> int:
-    """The label scan of :func:`_scan_parent_labels` driven by fired ids.
+def first_fired_ranks(triggers, groups, buffer=None):
+    """Reduce per-node trigger rows to every label's first fired rank.
 
-    Equivalent to the numpy scan when every parent is present (the batched
-    executor's invariant — its gathers store whole levels), but costs
-    ``O(|fired| + labels)`` python steps instead of several ndarray
-    operations per label: *fired_ids* are the ascending parent ids whose
-    window triggered; a label is discovered at its first fired id and charged
-    for the ids up to (and including) it, all others are charged in full.
+    *triggers* is a ``(rows, nodes)`` bool matrix over one parent level and
+    *groups* that level's :class:`~repro.core.sequences.LabelGroups`.
+    Returns the ``(rows, labels)`` ndarray whose entry ``[i, k]`` is the
+    rank (among the nodes of label ``groups.labels[k]``, ascending ids) of
+    that label's first node that fired in row ``i``, or ``groups.size``
+    when none did — the form :func:`scan_first_fired` reads.  The
+    label-grouped trigger columns cut into one equal run per
+    ``(row, label)``, and one ``argmax`` over those runs finds every first
+    fired node at once.  A large level passes its scratch *buffer*, which
+    takes the grouped columns a row at a time.
     """
-    from bisect import bisect_right
-    first_fired: Dict[ProcessorId, int] = {}
-    labels = index.last_labels(parent_level)
-    for parent_id in fired_ids:
-        label = labels[parent_id]
-        if label not in first_fired:
-            first_fired[label] = parent_id
+    from .npsupport import require_numpy
+    np = require_numpy()
+    if buffer is None:
+        grouped = np.take(triggers, groups.perm, axis=1)
+    else:
+        grouped = buffer("first.grouped", triggers.shape, bool)
+        for row, grouped_row in zip(triggers, grouped):
+            grouped_row[:] = row[groups.perm]
+    runs = grouped.reshape(-1, groups.size)
+    ranks = runs.argmax(axis=1)
+    # argmax is 0 for a run with none fired; such a run reads False there.
+    ranks[~runs[np.arange(len(ranks)), ranks]] = groups.size
+    return ranks.reshape(triggers.shape[0], -1)
+
+
+def scan_first_fired(first, groups, suspects: Set[ProcessorId],
+                     discovered: Set[ProcessorId],
+                     charge_per_parent: int) -> int:
+    """One row's label scan over its first fired ranks.
+
+    The per-label half of every batched discovery pass: walks the sender
+    labels, skips suspects and already-discovered labels, and applies the
+    reference early-skip accounting — the reference pass scans a label's
+    parents in node-id order and stops at the first whose window fires, so
+    a label with first fired rank ``r`` is discovered and charged for
+    ``r + 1`` parents, and a label with none fired is charged for all of
+    them.  *first* is the row's entry of :func:`first_fired_ranks` (or of
+    a scalar path) over the labels of *groups*.  Updates *discovered* in
+    place and returns the meter charge.
+    """
+    size = groups.size
     charge = 0
-    for label, ids in index.ids_by_label_py(parent_level).items():
+    for label, rank in zip(groups.labels, first):
         if label in suspects or label in discovered:
             continue
-        first = first_fired.get(label)
-        if first is None:
-            charge += charge_per_parent * len(ids)
-        else:
+        if rank < size:
             discovered.add(label)
-            charge += charge_per_parent * bisect_right(ids, first)
-    return charge
+            charge += rank + 1
+        else:
+            charge += size
+    return charge_per_parent * charge
 
 
-def _fired_ids_python(child_rows, parents_size: int, branch: int, labels,
-                      suspect_sets, budgets) -> List[List[int]]:
-    """Fired parent ids per participant, computed scalar for tiny levels.
+def _first_fired_python(child_rows, parents_size: int, branch: int,
+                        parent_labels, child_labels, groups, suspect_sets,
+                        budgets) -> List[List[int]]:
+    """First fired ranks per row, computed scalar for tiny levels.
 
-    Same decision as :func:`batched_window_triggers` (a window fires when no
-    strict majority exists or more than *budget* unlisted children deviate),
-    evaluated with the fast engine's :func:`window_majority` over plain
-    lists — for a handful of windows that beats a dozen ndarray kernels.
+    Same decision as :func:`batched_window_triggers` (a window fires when
+    no strict majority exists or more than *budget* unlisted children
+    deviate), evaluated with the fast engine's :func:`window_majority` over
+    plain lists — for a handful of windows that beats a dozen ndarray
+    kernels.  A label's later windows are skipped once one has fired.
     """
-    fired: List[List[int]] = []
+    ranks = groups.ranks
+    column = groups.column
+    size = groups.size
+    out: List[List[int]] = []
     for a, row in enumerate(child_rows):
         suspects = suspect_sets[a]
         budget = budgets[a]
-        row_fired: List[int] = []
+        first = [size] * len(groups.labels)
         for w in range(parents_size):
+            k = column[parent_labels[w]]
+            if first[k] < size:
+                continue  # this label already fired at a smaller id
             base = w * branch
             window = row[base:base + branch]
             majority = window_majority(window, branch)
-            if majority is None:
-                row_fired.append(w)
-                continue
-            deviating = 0
-            for offset in range(branch):
-                if (window[offset] != majority
-                        and labels[base + offset] not in suspects):
-                    deviating += 1
-            if deviating > budget:
-                row_fired.append(w)
-        fired.append(row_fired)
-    return fired
+            if majority is not None:
+                deviating = 0
+                for offset in range(branch):
+                    if (window[offset] != majority
+                            and child_labels[base + offset] not in suspects):
+                        deviating += 1
+                if deviating <= budget:
+                    continue
+            first[k] = ranks[w]
+        out.append(first)
+    return out
 
 
-def quiet_scan_charge(index: SequenceIndex, parent_level: int,
-                      parents_size: int, skip_labels,
-                      charge_per_parent: int) -> int:
-    """The meter charge of a label scan in which no window fired.
-
-    Exactly what :func:`_scan_fired_labels` would bill — every parent whose
-    label is not skipped, in full — computed in ``O(|skip_labels|)`` from the
-    interned per-label id lists.  Shared by both batched discovery passes so
-    the reference charge accounting lives in one place.
-    """
-    ids_by_label = index.ids_by_label_py(parent_level)
-    skipped = sum(len(ids_by_label.get(label, ())) for label in skip_labels)
-    return charge_per_parent * (parents_size - skipped)
-
-
-def batched_fired_ids(child_stacks, parents_size: int, branch: int,
-                      index: SequenceIndex, child_level: int,
-                      suspect_sets, budgets,
-                      num_codes: int) -> List[List[int]]:
-    """Fired parent ids per participant for one stacked level.
+def batched_first_fired(child_stacks, parents_size: int, branch: int,
+                        index: SequenceIndex, child_level: int,
+                        suspect_sets, budgets, num_codes: int, rows=None):
+    """First fired ranks per participant for one stacked level.
 
     Dispatches between the vectorized trigger kernel
-    (:func:`batched_window_triggers`) and the scalar tiny-level path; either
-    way the result feeds :func:`_scan_fired_labels`, so discovery decisions
-    and meter charges are one shared implementation.
+    (:func:`batched_window_triggers`, reduced by :func:`first_fired_ranks`)
+    and the scalar tiny-level path; either way the result feeds
+    :func:`scan_first_fired`, so discovery decisions and meter charges are
+    one shared implementation.  *rows* (every row by default) selects the
+    stack rows *suspect_sets* and *budgets* describe.  Returns one list of
+    ranks per selected row.
     """
-    from .npsupport import SMALL_KERNEL_ELEMENTS, require_numpy
+    from .npsupport import (LARGE_LEVEL_ELEMENTS, SMALL_KERNEL_ELEMENTS,
+                            fresh, require_numpy, scratch)
     np = require_numpy()
-    count = child_stacks.shape[0]
+    groups = index.label_groups(child_level - 1)
+    buffer = scratch if child_stacks.size > LARGE_LEVEL_ELEMENTS else None
+    if rows is not None and len(rows) != len(child_stacks):
+        selected = (buffer or fresh)(
+            "triggers.rows", (len(rows), child_stacks.shape[1]),
+            child_stacks.dtype)
+        for k, row in enumerate(rows):
+            selected[k] = child_stacks[row]
+        child_stacks = selected
     if child_stacks.size <= SMALL_KERNEL_ELEMENTS:
-        return _fired_ids_python(child_stacks.tolist(), parents_size, branch,
-                                 index.last_labels(child_level),
-                                 suspect_sets, budgets)
+        return _first_fired_python(
+            child_stacks.tolist(), parents_size, branch,
+            index.last_labels(child_level - 1),
+            index.last_labels(child_level), groups, suspect_sets, budgets)
     triggers = batched_window_triggers(child_stacks, parents_size, branch,
                                        index.slots_np(child_level),
                                        suspect_sets,
                                        np.asarray(budgets, dtype=np.int64),
-                                       num_codes)
-    fired: List[List[int]] = [[] for _ in range(count)]
-    for row_index in np.flatnonzero(triggers.any(axis=1)).tolist():
-        fired[row_index] = np.flatnonzero(triggers[row_index]).tolist()
-    return fired
+                                       num_codes, buffer)
+    return first_fired_ranks(triggers, groups, buffer).tolist()
 
 
 def batched_window_triggers(child_stacks, parents_size: int, branch: int,
                             child_slots, suspect_sets, budgets,
-                            num_codes: int):
+                            num_codes: int, buffer=None):
     """Per-``(participant, parent)`` Fault Discovery triggers for a whole run.
 
     2-D twin of :func:`_window_triggers_numpy`: *child_stacks* is the
@@ -364,27 +390,36 @@ def batched_window_triggers(child_stacks, parents_size: int, branch: int,
     ``L_p``, and *budgets* the per-participant ``t − |L_p|``.  One
     ``bincount`` per row block (:func:`~repro.core.npsupport.row_blocks`)
     over its ``(block rows · parents, branch)`` reshape tallies every window
-    of those participants at once; the unlisted-deviation count is derived
-    from the tallies (``branch − best's tally``) minus a per-suspect-label
-    slot fixup, avoiding any ``(participants, parents, branch)`` temporary.
+    of those participants at once — or, given a large level's scratch
+    *buffer*, :func:`~repro.core.npsupport.window_top` ranks them code by
+    code; the unlisted-deviation count is derived from the top code's tally
+    (``branch − best's tally``) minus a per-suspect-label slot fixup,
+    avoiding any ``(participants, parents, branch)`` temporary.
     """
-    from .npsupport import require_numpy, row_blocks, window_tallies
+    from .npsupport import (fresh, require_numpy, row_blocks,
+                            window_tallies, window_top)
     np = require_numpy()
     rows = child_stacks.shape[0]
-    best = np.empty((rows, parents_size), dtype=np.intp)
-    best_count = np.empty((rows, parents_size), dtype=np.int64)
+    shape = (rows, parents_size)
+    best = (buffer or fresh)("triggers.best", shape, np.intp)
+    best_count = (buffer or fresh)("triggers.best_count", shape, np.int64)
     for start, stop in row_blocks(rows, child_stacks.shape[1]):
-        tallies = window_tallies(
-            child_stacks[start:stop].reshape(-1, branch), num_codes)
-        block_best = tallies.argmax(axis=1)
+        windows = child_stacks[start:stop].reshape(-1, branch)
+        if buffer is not None:
+            block_best, block_count = window_top(windows, num_codes, buffer)
+        else:
+            tallies = window_tallies(windows, num_codes)
+            block_best = tallies.argmax(axis=1)
+            block_count = np.take_along_axis(tallies, block_best[:, None],
+                                             axis=1)
         best[start:stop] = block_best.reshape(-1, parents_size)
-        best_count[start:stop] = np.take_along_axis(
-            tallies, block_best[:, None], axis=1).reshape(-1, parents_size)
-    has_majority = 2 * best_count > branch
+        best_count[start:stop] = block_count.reshape(-1, parents_size)
     # All deviating children first; then subtract each suspect child that
     # deviates from its window's top code (a strict majority is unique, so
     # the argmax tie-break never affects triggering windows).
-    deviating = branch - best_count
+    deviating = np.subtract(branch, best_count,
+                            out=(buffer or fresh)("triggers.deviating", shape,
+                                                  np.int64))
     for row_index, suspects in enumerate(suspect_sets):
         if not suspects:
             continue
@@ -399,7 +434,7 @@ def batched_window_triggers(child_stacks, parents_size: int, branch: int,
             # Each parent has at most one child per label, so the fancy
             # in-place subtract sees unique indices.
             dev[parents] -= codes[slots] != top[parents]
-    return ~has_majority | (deviating > budgets[:, None])
+    return (best_count <= branch // 2) | (deviating > budgets[:, None])
 
 
 def discover_at_level_numpy(tree, level: int,
@@ -497,23 +532,18 @@ def discover_during_conversion_batched(index: SequenceIndex,
     charges = [0] * count
     num_codes = len(VALUE_CODEC)
     for level in range(1, num_levels):
-        branch = index.branch(level)
-        parents_size = index.level_size(level)
         if bottom is not None and level == num_levels - 1:
-            fired = bottom.fired_ids(range(count), suspect_sets, budgets)
+            first = bottom.first_fired(range(count), suspect_sets, budgets)
         else:
-            fired = batched_fired_ids(
-                converted_stacks[level], parents_size, branch, index,
-                level + 1, suspect_sets, budgets, num_codes)
+            first = batched_first_fired(
+                converted_stacks[level], index.level_size(level),
+                index.branch(level), index, level + 1, suspect_sets,
+                budgets, num_codes)
+        groups = index.label_groups(level)
+        branch = index.branch(level)
         for i in range(count):
-            if not fired[i]:
-                charges[i] += quiet_scan_charge(
-                    index, level, parents_size,
-                    suspect_sets[i] | discovered[i], branch)
-                continue
-            charges[i] += _scan_fired_labels(
-                index, level, fired[i],
-                suspect_sets[i], discovered[i], branch)
+            charges[i] += scan_first_fired(first[i], groups, suspect_sets[i],
+                                           discovered[i], branch)
     for i, meter in enumerate(meters):
         meter.charge(charges[i])
     return discovered

@@ -173,10 +173,17 @@ def gather_level_batched(state, level: int, claims, row_of, domain_mask
     for missing/suspect senders and one row per distinct faulty message), and
     ``row_of[i, c]`` names the claims row receiver *i* reads for sender label
     ``c``.  The new level of the entire run is then the gather
-    ``claims[row_of[:, last_labels], parent_of_slot]``, filled into one
-    preallocated stack a row block (:func:`~repro.core.npsupport.row_blocks`)
-    at a time.  The code-level domain mask is applied to the small claims
-    matrix up front — exact, because the gather only selects claims.
+    ``claims[row_of[:, last_labels], parent_of_slot]``.  The code-level
+    domain mask is applied to the small claims matrix up front — exact,
+    because the gather only selects claims.
+
+    A stack of at most :data:`~repro.core.npsupport.LARGE_LEVEL_ELEMENTS`
+    codes is filled a row block (:func:`~repro.core.npsupport.row_blocks`)
+    at a time through flat claim offsets.  A larger one needs no
+    level-sized offsets: its first row is filled label by label,
+    ``stack[0, slots] = claims[row_of[0, c], parents]``, every other row
+    starts as a copy of it, and only the labels not routed alike in every
+    row (the faulty, suspect and echo columns) are read again per row.
 
     The uniform domain mask is equivalent to the per-processor paths: echoed
     own values are always in-domain (they passed coercion, masking, or a
@@ -184,17 +191,33 @@ def gather_level_batched(state, level: int, claims, row_of, domain_mask
     out-of-domain claim collapses to the default exactly as the Fault
     Masking / default-substitution rules require.
     """
-    from .npsupport import DEFAULT_CODE, require_numpy, row_blocks
+    from .npsupport import (DEFAULT_CODE, LARGE_LEVEL_ELEMENTS, require_numpy,
+                            row_blocks)
     np = require_numpy()
     index = state.index
-    flat_claims = np.where(domain_mask[claims], claims,
-                           DEFAULT_CODE).reshape(-1)
+    masked = np.where(domain_mask[claims], claims, DEFAULT_CODE)
+    rows = row_of.shape[0]
+    size = index.level_size(level)
+    stack = np.empty((rows, size), dtype=claims.dtype)
+    if rows * size > LARGE_LEVEL_ELEMENTS:
+        slots_table = index.slots_np(level)
+        routes = row_of[0].tolist()
+        for label, (slots, parents) in slots_table.items():
+            stack[0, slots] = masked[routes[label], parents]
+        stack[1:] = stack[0]
+        for label in np.flatnonzero((row_of[1:] != row_of[:1]).any(
+                axis=0)).tolist():
+            if label in slots_table:
+                slots, parents = slots_table[label]
+                stack[1:, slots] = masked[row_of[1:, label, None], parents]
+        state.append_level(stack)
+        return
+    flat_claims = masked.reshape(-1)
     # Flat claims offset of every (receiver, sender label) pair.
     row_starts = row_of * claims.shape[1]
     last_labels = index.last_labels_np(level)
     parent_ids = index.parent_ids_np(level)
-    stack = np.empty((row_of.shape[0], len(parent_ids)), dtype=claims.dtype)
-    for start, stop in row_blocks(*stack.shape):
+    for start, stop in row_blocks(rows, size):
         offsets = np.take(row_starts[start:stop], last_labels, axis=1)
         offsets += parent_ids
         np.take(flat_claims, offsets, out=stack[start:stop])
@@ -204,8 +227,8 @@ def gather_level_batched(state, level: int, claims, row_of, domain_mask
 class _StackedLevel:
     """A gathered level stack as the batched fixpoint's trigger source.
 
-    Triggers come from the shared window kernels
-    (:func:`~repro.core.fault_discovery.batched_fired_ids`); masking a
+    First fired ranks come from the shared window kernels
+    (:func:`~repro.core.fault_discovery.batched_first_fired`); masking a
     sender rewrites its slots of the owner's row with the default.
     """
 
@@ -220,14 +243,14 @@ class _StackedLevel:
         self.branch = self.index.branch(level - 1)
         self.parents_size = self.index.level_size(level - 1)
 
-    def fired_ids(self, rows: List[int], suspect_sets,
-                  budgets) -> List[List[int]]:
-        from .fault_discovery import batched_fired_ids
+    def first_fired(self, rows: List[int], suspect_sets,
+                    budgets) -> List[List[int]]:
+        from .fault_discovery import batched_first_fired
         from .npsupport import VALUE_CODEC
-        stack = self.stack if len(rows) == len(self.stack) else self.stack[rows]
-        return batched_fired_ids(stack, self.parents_size, self.branch,
-                                 self.index, self.level, suspect_sets,
-                                 budgets, len(VALUE_CODEC))
+        return batched_first_fired(self.stack, self.parents_size,
+                                   self.branch, self.index, self.level,
+                                   suspect_sets, budgets, len(VALUE_CODEC),
+                                   rows=rows)
 
     def mask_senders(self, i: int, senders) -> int:
         from .npsupport import DEFAULT_CODE
@@ -262,119 +285,191 @@ class ChildCounts:
     code's count is the complement: after the domain mask every claim is a
     domain code.  Columns routed alike in every row (the correct senders)
     are counted once; only the faulty, suspect and echo columns are counted
-    per row, in :func:`~repro.core.npsupport.row_blocks` of the leaf
-    elements the counts stand for.
+    per row, and a column routed to the default row adds nothing.
 
-    :meth:`fired_ids` and :meth:`vote` decide exactly as
+    :meth:`window_triggers` (which :meth:`first_fired` reduces) and
+    :meth:`vote` decide exactly as
     :func:`~repro.core.fault_discovery.batched_window_triggers` and the
     shared vote select do on the gathered stack.  :meth:`mask_senders`
     applies the Fault Masking Rule by routing a sender's column to the
     *default_row* of *claims* and taking its children out of the row's
-    counts.
+    counts.  The claims are read through the domain mask only for a
+    suspect column routed elsewhere (the echo of a self-suspect).
+
+    Counts are ``uint8`` while a window has fewer than 256 children.  Over
+    more than :data:`~repro.core.npsupport.LARGE_LEVEL_ELEMENTS` leaf
+    elements the counts and every temporary live in per-thread
+    :func:`~repro.core.npsupport.scratch` buffers, so an instance — and the
+    votes it returns — is valid only until the next large
+    :class:`ChildCounts` is built on the same thread (the batched executor
+    builds one per round and drops it when the round ends).
     """
 
     __slots__ = ("branch", "parents_size", "child_mask", "slot_counts",
-                 "row_of", "default_row", "claims", "codes", "counts", "best",
-                 "best_count", "_stale", "_hits", "_dtype")
+                 "groups", "row_of", "default_row", "claims", "domain_mask",
+                 "codes", "counts", "best", "best_count", "_scratch",
+                 "_buffer", "_stale", "_hits", "_dtype")
 
     def __init__(self, index, parent_level: int, claims, row_of,
                  default_row: int, domain_mask) -> None:
-        from .npsupport import DEFAULT_CODE, require_numpy, row_blocks
+        from .npsupport import (DEFAULT_CODE, LARGE_LEVEL_ELEMENTS, fresh,
+                                require_numpy, scratch)
         np = require_numpy()
-        self.branch = index.branch(parent_level)
-        self.parents_size = index.level_size(parent_level)
+        self.branch = branch = index.branch(parent_level)
+        self.parents_size = parents = index.level_size(parent_level)
         self.child_mask = mask = index.child_mask_np(parent_level)
         #: Per label: its child slots in the uncollected level.
-        self.slot_counts = mask.sum(axis=1).tolist()
+        self.slot_counts = np.count_nonzero(mask, axis=1).tolist()
+        self.groups = index.label_groups(parent_level)
         self.row_of = row_of
         self.default_row = default_row
+        self.claims = claims
+        self.domain_mask = domain_mask
         self.codes = [code for code in np.flatnonzero(domain_mask).tolist()
                       if code != DEFAULT_CODE]
+        rows = row_of.shape[0]
+        shape = (rows, parents)
+        self._scratch = (scratch if rows * parents * branch
+                         > LARGE_LEVEL_ELEMENTS else None)
+        self._buffer = buffer = self._scratch or fresh
+        self._dtype = np.min_scalar_type(branch)
         # A non-default domain code survives the domain mask unchanged, so
         # its hits need no masked copy; every other claim reads as default.
-        self._hits = [claims == code for code in self.codes]
-        self.claims = np.full(claims.shape, DEFAULT_CODE, dtype=claims.dtype)
+        self._hits = buffer("counts.hits",
+                            (len(self.codes),) + claims.shape, bool)
         for code, hit in zip(self.codes, self._hits):
-            self.claims[hit] = code
-        self._dtype = np.min_scalar_type(self.branch)
-        rows = row_of.shape[0]
-        labels = np.flatnonzero(mask.any(axis=1))
-        shared = (row_of[:, labels] == row_of[:1, labels]).all(axis=0)
-        common, varying = labels[shared], labels[~shared]
-        shape = (rows, self.parents_size)
-        self.counts = np.empty((len(self.codes),) + shape, dtype=self._dtype)
+            np.equal(claims, code, out=hit)
+        self.counts = buffer("counts.counts", (len(self.codes),) + shape,
+                             self._dtype)
         #: Each entry's top code and its count; rows whose counts changed
         #: since are *_stale* until the next trigger or vote pass.
-        self.best = np.empty(shape, dtype=claims.dtype)
-        self.best_count = np.empty(shape, dtype=self._dtype)
+        self.best = buffer("counts.best", shape, claims.dtype)
+        self.best_count = buffer("counts.best_count", shape, self._dtype)
         self._stale: Set[int] = set()
-        bases = [(hit[row_of[0, common]] & mask[common]).sum(
-            axis=0, dtype=self._dtype) for hit in self._hits]
-        for start, stop in row_blocks(rows, self.branch * self.parents_size):
-            routed = row_of[start:stop][:, varying]
-            for hit, base, counts in zip(self._hits, bases, self.counts):
-                counts[start:stop] = (hit[routed] & mask[varying]).sum(
-                    axis=1, dtype=self._dtype)
-                counts[start:stop] += base
-            self._rank(slice(start, stop))
+        shared = (row_of == row_of[:1]).all(axis=0).tolist()
+        labels = [c for c, slots in enumerate(self.slot_counts) if slots]
+        common = [c for c in labels if shared[c]]
+        varying = [c for c in labels if not shared[c]]
+        routes = row_of.tolist()
+        hit_row = buffer("counts.hit_row", (parents,), bool)
+        for hit, counts in zip(self._hits, self.counts):
+            base = counts[0]
+            base.fill(0)
+            for c in common:
+                if routes[0][c] != default_row:
+                    np.logical_and(hit[routes[0][c]], mask[c], out=hit_row)
+                    base += hit_row
+            counts[1:] = base
+            for i, route in enumerate(routes):
+                for c in varying:
+                    if route[c] != default_row:
+                        np.logical_and(hit[route[c]], mask[c], out=hit_row)
+                        counts[i] += hit_row
+        self._rank(0, rows)
 
-    def _rank(self, rows=None) -> None:
-        """Refresh the top code and its count of *rows* — by default every
-        stale row — taking the first maximum in code order, like
-        ``argmax``."""
+    def _rank(self, low: int, high: int) -> None:
+        """Refresh the top code and its count of rows ``low:high``, taking
+        the first maximum in code order, like ``argmax``; stepped in
+        :func:`~repro.core.npsupport.row_blocks` of the leaf elements the
+        counts stand for."""
+        from .npsupport import row_blocks
+        for start, stop in row_blocks(high - low,
+                                      self.branch * self.parents_size):
+            self._rank_block(low + start, low + stop)
+
+    def _rank_block(self, start: int, stop: int) -> None:
         from .npsupport import DEFAULT_CODE, require_numpy
         np = require_numpy()
-        if rows is None:
-            if not self._stale:
-                return
+        block = self.counts[:, start:stop]
+        best = self.best[start:stop]
+        best_count = self.best_count[start:stop]
+        np.sum(block, axis=0, dtype=self._dtype, out=best_count)
+        np.subtract(self.branch, best_count, out=best_count)
+        best.fill(DEFAULT_CODE)
+        more = self._buffer("counts.more", best.shape, bool)
+        for code, count in zip(self.codes, block):
+            np.greater(count, best_count, out=more)
+            np.copyto(best, code, where=more)
+            np.maximum(best_count, count, out=best_count)
+
+    def _refresh(self) -> None:
+        """Re-rank every stale row, a contiguous run of rows at a time."""
+        if self._stale:
             rows = sorted(self._stale)
             self._stale.clear()
-        block = self.counts[:, rows]
-        best_count = self.branch - block.sum(axis=0, dtype=self._dtype)
-        best = np.full(best_count.shape, DEFAULT_CODE, dtype=self.best.dtype)
-        for code, count in zip(self.codes, block):
-            best[count > best_count] = code
-            np.maximum(best_count, count, out=best_count)
-        self.best[rows] = best
-        self.best_count[rows] = best_count
+            start = rows[0]
+            for previous, row in zip(rows, rows[1:] + [None]):
+                if row != previous + 1:
+                    self._rank(start, previous + 1)
+                    start = row
 
-    def fired_ids(self, rows: List[int], suspect_sets,
-                  budgets) -> List[List[int]]:
-        """Ascending fired parent ids of each row in *rows*.
+    def first_fired(self, rows: List[int], suspect_sets,
+                    budgets) -> List[List[int]]:
+        """First fired ranks of each row in *rows*
+        (:func:`~repro.core.fault_discovery.first_fired_ranks` of
+        :meth:`window_triggers`)."""
+        from .fault_discovery import first_fired_ranks
+        return first_fired_ranks(
+            self.window_triggers(rows, suspect_sets, budgets), self.groups,
+            self._scratch).tolist()
 
-        A window fires when no code holds a strict majority of its children,
-        or when more than the row's budget of unlisted children deviate from
-        the top code: ``branch − top count − suspect children that
-        deviate``, where a suspect child reads its routed claims row.
+    def window_triggers(self, rows: List[int], suspect_sets, budgets):
+        """The ``(len(rows), parents)`` Fault Discovery triggers of *rows*.
+
+        A window fires when no code holds a strict majority of its children
+        (the top count is at most half the branch), or when more than the
+        row's budget of unlisted children deviate from the top code:
+        ``branch − top count − suspect children that deviate``.  A suspect
+        child routed to the default row deviates exactly when the top code
+        is not the default.
         """
-        from .npsupport import require_numpy, row_blocks
+        from .npsupport import DEFAULT_CODE, require_numpy
         np = require_numpy()
-        self._rank()
-        rows = np.asarray(rows, dtype=np.int64)
-        budgets = np.asarray(budgets, dtype=np.int64)
-        fired: List[List[int]] = [[] for _ in range(rows.size)]
-        for start, stop in row_blocks(rows.size, self.branch
-                                      * self.parents_size):
-            block_rows = rows[start:stop]
-            best_count = self.best_count[block_rows]
-            deviating = self.branch - best_count
-            # (block row, suspect label) pairs, grouped by block row.
-            pairs = [(b, label) for b in range(stop - start)
-                     for label in suspect_sets[start + b]]
-            if pairs:
-                owners, labels = np.asarray(pairs, dtype=np.int64).T
-                deviates = self.child_mask[labels] & (
-                    self.claims[self.row_of[block_rows[owners], labels]]
-                    != self.best[block_rows[owners]])
-                bounds = np.flatnonzero(np.diff(owners, prepend=-1)).tolist()
-                for lo, hi in zip(bounds, bounds[1:] + [len(pairs)]):
-                    deviating[owners[lo]] -= deviates[lo:hi].view(
-                        np.uint8).sum(axis=0, dtype=self._dtype)
-            fire = ((best_count <= self.branch // 2)
-                    | (deviating > budgets[start:stop, None]))
-            for b in np.flatnonzero(fire.any(axis=1)).tolist():
-                fired[start + b] = np.flatnonzero(fire[b]).tolist()
-        return fired
+        self._refresh()
+        rows = list(rows)
+        branch = self.branch
+        half = branch // 2
+        parents = self.parents_size
+        fire = self._buffer("counts.fire", (len(rows), parents), bool)
+        deviating = self._buffer("counts.deviating", (parents,), np.int16)
+        weak = self._buffer("counts.weak", (parents,), bool)
+        routes = self.row_of.tolist()
+        #: Per set of default-routed suspects: how many are children of
+        #: each parent (rows often share their suspect sets).
+        listed_children: Dict[FrozenSet[ProcessorId], object] = {}
+        listed_rows = self._buffer("counts.listed", (len(rows), parents),
+                                   np.int16)
+        for b, i in enumerate(rows):
+            best_count = self.best_count[i]
+            limit = branch - budgets[b]
+            suspects = suspect_sets[b]
+            if not suspects:
+                np.less(best_count, max(limit, half + 1), out=fire[b])
+                continue
+            route = routes[i]
+            defaulted = frozenset(s for s in suspects
+                                  if route[s] == self.default_row)
+            listed = listed_children.get(defaulted)
+            if listed is None:
+                listed = listed_children[defaulted] = listed_rows[
+                    len(listed_children)]
+                listed.fill(0)
+                for s in defaulted:
+                    listed += self.child_mask[s]
+            np.not_equal(self.best[i], DEFAULT_CODE, out=weak)
+            np.multiply(listed, weak, out=deviating)
+            for s in suspects:
+                if s not in defaulted:
+                    claim = self.claims[route[s]]
+                    read = np.where(self.domain_mask[claim], claim,
+                                    DEFAULT_CODE)
+                    deviating += self.child_mask[s] & (read != self.best[i])
+            lifted = deviating
+            lifted += best_count
+            np.less(lifted, limit, out=fire[b])
+            np.less_equal(best_count, half, out=weak)
+            np.logical_or(fire[b], weak, out=fire[b])
+        return fire
 
     def mask_senders(self, i: int, senders) -> int:
         """Mask *senders* for row *i*; returns the child slots rewritten."""
@@ -399,26 +494,35 @@ class ChildCounts:
         from .npsupport import (BOTTOM_CODE, DEFAULT_CODE, require_numpy,
                                 row_blocks)
         np = require_numpy()
-        self._rank()
-        rows = self.counts.shape[1]
-        out = np.empty((rows, self.parents_size), dtype=self.claims.dtype)
+        self._refresh()
+        out = self._buffer("counts.vote", self.best.shape, self.best.dtype)
         threshold = t + 1
-        for start, stop in row_blocks(rows, self.branch * self.parents_size):
+        for start, stop in row_blocks(len(out),
+                                      self.branch * self.parents_size):
+            shape = (stop - start, self.parents_size)
+            block_out = out[start:stop]
+            reached = self._buffer("counts.more", shape, bool)
             if conversion == "resolve":
-                out[start:stop] = np.where(
-                    self.best_count[start:stop] > self.branch // 2,
-                    self.best[start:stop], DEFAULT_CODE)
+                block_out.fill(DEFAULT_CODE)
+                np.greater(self.best_count[start:stop], self.branch // 2,
+                           out=reached)
+                np.copyto(block_out, self.best[start:stop], where=reached)
                 continue
             block = self.counts[:, start:stop]
-            default_count = self.branch - block.sum(axis=0, dtype=self._dtype)
-            reached = default_count >= threshold
-            winners = reached.astype(np.int64)
-            winner = np.where(reached, DEFAULT_CODE, BOTTOM_CODE)
+            winners = self._buffer("counts.winners", shape, self._dtype)
+            np.sum(block, axis=0, dtype=self._dtype, out=winners)
+            # The default's count is the complement of the others'.
+            np.subtract(self.branch, winners, out=winners)
+            np.greater_equal(winners, threshold, out=reached)
+            np.copyto(winners, reached)
+            block_out.fill(BOTTOM_CODE)
+            np.copyto(block_out, DEFAULT_CODE, where=reached)
             for code, count in zip(self.codes, block):
-                reached = count >= threshold
+                np.greater_equal(count, threshold, out=reached)
                 winners += reached
-                winner[reached] = code
-            out[start:stop] = np.where(winners == 1, winner, BOTTOM_CODE)
+                np.copyto(block_out, code, where=reached)
+            np.not_equal(winners, 1, out=reached)
+            np.copyto(block_out, BOTTOM_CODE, where=reached)
         return out
 
 
@@ -430,9 +534,10 @@ def discover_and_mask_batched(state, level: int,
     """Whole-run fixpoint of batched discovery and row-slice masking.
 
     2-D twin of :func:`_discover_and_mask_numpy`: per fixpoint iteration one
-    trigger kernel covers every still-active participant, then the per-label
-    scan, tracker updates, masking, and meter charges run row by row exactly
-    as the per-processor pass would.  A participant whose scan finds nothing
+    trigger kernel covers every still-active participant and reduces its
+    triggers to each label's first fired parent, then the per-label scan,
+    tracker updates, masking, and meter charges run row by row exactly as
+    the per-processor pass would.  A participant whose scan finds nothing
     fresh is deactivated — its row can no longer change (masking only
     rewrites the owner's row) — which reproduces the per-processor
     fixpoint's termination and charge accounting verbatim.  *level* is the
@@ -441,7 +546,7 @@ def discover_and_mask_batched(state, level: int,
     never gathered.  Returns the per-participant sets of newly discovered
     processors.
     """
-    from .fault_discovery import _scan_fired_labels, quiet_scan_charge
+    from .fault_discovery import scan_first_fired
     count = state.count
     newly: List[Set[ProcessorId]] = [set() for _ in range(count)]
     if counts is None:
@@ -450,9 +555,8 @@ def discover_and_mask_batched(state, level: int,
         source = _StackedLevel(state, level)
     else:
         source = counts
-    index = state.index
-    branch = source.branch
-    parents_size = source.parents_size
+    charge_per_parent = 2 * source.branch
+    groups = state.index.label_groups(level - 1)
     # Batched levels are stored whole (the BatchedEIGState invariant), so the
     # per-processor kernels' MISSING-substitution and parent-presence passes
     # are no-ops here and every parent is examined.
@@ -464,22 +568,14 @@ def discover_and_mask_batched(state, level: int,
             suspects = trackers[i].suspects
             suspect_sets.append(suspects)
             budgets.append(trackers[i].t - len(suspects))
-        fired = source.fired_ids(active, suspect_sets, budgets)
+        first = source.first_fired(active, suspect_sets, budgets)
         still_active = []
         for k, i in enumerate(active):
-            tracker = trackers[i]
-            if not fired[k]:
-                # No window fired for this participant: the scan would charge
-                # every non-suspect label in full and discover nothing.
-                meters[i].charge(quiet_scan_charge(
-                    index, level - 1, parents_size, suspect_sets[k],
-                    2 * branch))
-                continue
             discovered: Set[ProcessorId] = set()
-            charge = _scan_fired_labels(
-                index, level - 1, fired[k],
-                suspect_sets[k], discovered, 2 * branch)
-            meters[i].charge(charge)
+            meters[i].charge(scan_first_fired(
+                first[k], groups, suspect_sets[k], discovered,
+                charge_per_parent))
+            tracker = trackers[i]
             fresh = {pid for pid in discovered if pid not in tracker}
             if not fresh:
                 continue

@@ -31,6 +31,7 @@ import-clean when numpy is absent:
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache as _lru_cache
 from typing import Dict, Hashable, List
 
@@ -75,9 +76,10 @@ DEFAULT_CODE = 1
 #: Code of the ``⊥`` sentinel (conversion scratch only, never stored).
 BOTTOM_CODE = 2
 
-#: dtype of every code buffer.  int32 leaves the offset arithmetic of the
-#: per-level ``bincount`` majority votes comfortably inside the dtype while
-#: staying 16× smaller than object pointers.
+#: dtype of every code buffer: codes index a codec of a handful of values,
+#: and int32 keeps level stacks 2× smaller than the platform int while
+#: every kernel that offsets codes (``window_tallies``) widens to int64
+#: itself.
 CODE_DTYPE_NAME = "int32"
 
 #: Below this many stacked elements the batched kernels switch to their
@@ -89,11 +91,53 @@ CODE_DTYPE_NAME = "int32"
 SMALL_KERNEL_ELEMENTS = 512
 
 #: Element budget of one row block of the whole-stack batched kernels
-#: (gather, discovery triggers, conversion votes).  Their int64 temporaries
-#: are a few times the block, so a block this size keeps them cache-sized
-#: where one pass over a whole ``n = 16`` leaf stack would stream tens of
-#: megabytes through memory.  Stacks up to ``n = 13`` fit in one block.
+#: (discovery triggers, conversion votes, the count kernel's ranking, the
+#: small-level gather).  Their temporaries are a few times the block, so a
+#: block this size keeps them cache-sized where one pass over a whole
+#: ``n = 16`` level-5 stack (491 400 codes) would stream megabytes through
+#: memory.  Stacks up to ``n = 13`` fit in one block.
 ROW_BLOCK_ELEMENTS = 1 << 18
+
+#: Stacks of more than this many codes (child codes, for a counted level)
+#: take the large-level forms of the batched kernels: the gather reads
+#: claims label by label, and the count and trigger kernels work in
+#: per-thread :func:`scratch` buffers instead of fresh level-sized arrays.
+#: The same crossover as :data:`ROW_BLOCK_ELEMENTS`: a stack that fits one
+#: row block keeps its temporaries in cache, where the large forms' extra
+#: ndarray calls would only cost (``n = 13`` tops out at 142 560 codes;
+#: ``n = 16`` has a 491 400-code level 5 and counts level 6).
+LARGE_LEVEL_ELEMENTS = ROW_BLOCK_ELEMENTS
+
+_SCRATCH = threading.local()
+
+
+def scratch(name: str, shape, dtype):
+    """A reused uninitialised *shape* buffer, one per *name* and thread.
+
+    The large-level kernels take their temporaries here: at ``n = 16`` a
+    run would otherwise allocate some 15 MB of level-sized arrays that the
+    allocator hands back to the kernel at the end of every run and faults
+    in again on the next.  A buffer grows to the largest request seen and
+    is shared by every later request for *name* on the thread, so its
+    contents are valid only until that next request: hand it to nothing
+    that outlives the call or round that fills it (level stacks and
+    broadcast row views never live here).  Each thread has its own set,
+    since ``repro serve`` runs executions on two worker threads.
+    """
+    np = require_numpy()
+    pool = _SCRATCH.__dict__
+    size = 1
+    for extent in shape:
+        size *= extent
+    buffer = pool.get(name)
+    if buffer is None or buffer.size < size or buffer.dtype != dtype:
+        buffer = pool[name] = np.empty(size, dtype=dtype)
+    return buffer[:size].reshape(shape)
+
+
+def fresh(name: str, shape, dtype):
+    """:func:`scratch`'s signature for a freshly allocated buffer."""
+    return require_numpy().empty(shape, dtype=dtype)
 
 
 class ValueCodec:
@@ -303,16 +347,24 @@ def vote_windows(codes, rows: int, branch: int):
     return codes.reshape(rows, branch)
 
 
-def window_tallies(windows, num_codes: int):
+def window_tallies(windows, num_codes: int, buffer=None):
     """Per-window vote tallies: ``tallies[i, c]`` counts code ``c`` in row ``i``.
 
     One ``bincount`` over offset codes (row ``i`` shifted by ``i·num_codes``)
     tallies every window of the level at once.  The offset arithmetic runs in
     int64: it cannot overflow there, and ``bincount`` consumes native intp
-    input directly instead of recasting.
+    input directly instead of recasting.  A large batched level passes its
+    :func:`scratch` *buffer* instead and is tallied code by code there
+    (:func:`_code_counts`), to the same tallies.
     """
     np = require_numpy()
     rows = windows.shape[0]
+    if buffer is not None:
+        tallies = buffer("tallies.counts", (rows, num_codes), np.int64)
+        tallies[:, MISSING_CODE] = 0
+        tallies[:, DEFAULT_CODE:] = _code_counts(windows, num_codes,
+                                                 buffer).T
+        return tallies
     total = rows * num_codes
     if rows <= _OFFSET_CACHE_ROWS:
         offsets = _window_offsets(rows, num_codes)
@@ -320,6 +372,54 @@ def window_tallies(windows, num_codes: int):
         offsets = (np.arange(rows, dtype=np.int64) * num_codes)[:, None]
     flat = (windows + offsets).reshape(-1)
     return np.bincount(flat, minlength=total).reshape(rows, num_codes)
+
+
+def window_top(windows, num_codes: int, buffer):
+    """Per-window top code and its tally, for a large batched level.
+
+    What ``argmax`` over :func:`window_tallies` and the tally it picks give
+    — the first maximum in code order — ranked code by code over
+    :func:`_code_counts` in *buffer*, without forming the tallies.
+    """
+    np = require_numpy()
+    counts = _code_counts(windows, num_codes, buffer)
+    shape = (windows.shape[0],)
+    best = buffer("top.best", shape, np.intp)
+    best_count = buffer("top.count", shape, counts.dtype)
+    more = buffer("top.more", shape, bool)
+    best.fill(DEFAULT_CODE)
+    np.copyto(best_count, counts[0])
+    for code, count in enumerate(counts[1:], start=DEFAULT_CODE + 1):
+        np.greater(count, best_count, out=more)
+        np.copyto(best, code, where=more)
+        np.maximum(best_count, count, out=best_count)
+    return best, best_count
+
+
+def _code_counts(windows, num_codes: int, buffer):
+    """``counts[k − DEFAULT_CODE, i]``: how often code ``k`` fills window ``i``.
+
+    For a large batched level, in *buffer*: one equality pass and one
+    strided add per window column for every code from ``BOTTOM_CODE`` up,
+    and the default's count as the complement — a batched stack holds no
+    ``MISSING_CODE`` (the :class:`BatchedEIGState` invariant).  Ranking
+    these counts costs under half of the ``bincount`` and its ``argmax`` on
+    an ``n = 16`` level-5 row block, with no int64 temporaries.
+    """
+    np = require_numpy()
+    rows, branch = windows.shape
+    counts = buffer("codes.counts", (num_codes - DEFAULT_CODE, rows),
+                    np.min_scalar_type(branch))
+    hits = buffer("codes.hits", windows.shape, bool)
+    columns = hits.view(np.uint8)
+    counts[0] = branch
+    for code, count in enumerate(counts[1:], start=DEFAULT_CODE + 1):
+        np.equal(windows, code, out=hits)
+        np.copyto(count, columns[:, 0])
+        for column in range(1, branch):
+            count += columns[:, column]
+        counts[0] -= count
+    return counts
 
 
 #: Offset columns are cached only below this row count: for small windows

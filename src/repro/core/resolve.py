@@ -209,17 +209,23 @@ def flat_resolve_root(tree: FlatEIGTree, conversion: str, t: int) -> Value:
 # ---------------------------------------------------------------------------
 
 def _vote_level_select(np, windows, branch: int, majority: bool,
-                       threshold: int, num_codes: int, dtype):
+                       threshold: int, num_codes: int, dtype, buffer=None):
     """One level's conversion votes: ``windows`` → per-window converted code.
 
     The select shared by the per-processor and the batched numpy conversions:
     a single ``bincount`` tallies every ``(rows, branch)`` window, then
     ``resolve`` keeps strict majorities (default otherwise) and ``resolve'``
     zeroes the ``⊥`` column and demands a unique ``t + 1``-threshold winner.
+    A large batched level passes its scratch *buffer*, and is counted code
+    by code (:func:`~repro.core.npsupport.window_top`, or the tallies).
     """
     from .npsupport import (BOTTOM_CODE, DEFAULT_CODE, strict_majority,
-                            window_tallies)
-    tallies = window_tallies(windows, num_codes)
+                            window_tallies, window_top)
+    if majority and buffer is not None:
+        best, best_count = window_top(windows, num_codes, buffer)
+        return np.where(best_count > branch // 2, best,
+                        DEFAULT_CODE).astype(dtype)
+    tallies = window_tallies(windows, num_codes, buffer)
     if majority:
         best, has_majority = strict_majority(tallies, branch)
         out = np.where(has_majority, best, DEFAULT_CODE)
@@ -298,8 +304,8 @@ def batched_resolve_levels(state, conversion: str, t: int, bottom=None):
     level takes that leaf level's vote, and ``levels`` ends with ``None``
     in place of the leaves.
     """
-    from .npsupport import (SMALL_KERNEL_ELEMENTS, VALUE_CODEC,
-                            require_numpy, row_blocks)
+    from .npsupport import (LARGE_LEVEL_ELEMENTS, SMALL_KERNEL_ELEMENTS,
+                            VALUE_CODEC, require_numpy, row_blocks, scratch)
     np = require_numpy()
     if conversion not in ("resolve", "resolve_prime"):
         raise ValueError(f"unknown conversion function {conversion!r}")
@@ -334,11 +340,12 @@ def batched_resolve_levels(state, conversion: str, t: int, bottom=None):
                                    threshold), dtype=children.dtype)
             continue
         out = np.empty((count, size), dtype=children.dtype)
+        buffer = scratch if children.size > LARGE_LEVEL_ELEMENTS else None
         for start, stop in row_blocks(count, children.shape[1]):
             out[start:stop] = _vote_level_select(
                 np, children[start:stop].reshape(-1, branch), branch,
-                majority, threshold, num_codes,
-                children.dtype).reshape(-1, size)
+                majority, threshold, num_codes, children.dtype,
+                buffer).reshape(-1, size)
         levels[level - 1] = out
     return levels, charge
 

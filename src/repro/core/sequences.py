@@ -319,23 +319,19 @@ class SequenceIndex:
             self._np_tables[("child_mask", parent_level)] = cached
         return cached
 
-    def ids_by_label_py(self, level: int) -> Dict[ProcessorId, List[int]]:
-        """Label → ascending list of the *level* node-ids ending in that label.
+    def label_groups(self, level: int) -> "LabelGroups":
+        """The *level* node-ids grouped by last label (numpy required).
 
-        Plain-python twin of :meth:`ids_by_label_np` (the same interned
-        ``slots`` lists, no copies), used by the batched discovery passes'
-        fired-row fast scan; cached once per level per shape.
+        What the batched Fault Discovery passes need to reduce a row's
+        per-node triggers to the first fired node of every label, and to
+        scan the labels (see :class:`LabelGroups`); cached once per level
+        per shape.
         """
-        cached = self._np_tables.get(("ids_py", level))
+        cached = self._np_tables.get(("groups", level))
         if cached is None:
-            if level == 1:
-                self.ensure_level(1)
-                cached = {self.source: [0]}
-            else:
-                cached = {label: slots
-                          for label, (slots, _parents)
-                          in self.slots_for(level).items()}
-            self._np_tables[("ids_py", level)] = cached
+            cached = LabelGroups(self.last_labels(level),
+                                 max(self.processors) + 1)
+            self._np_tables[("groups", level)] = cached
         return cached
 
     def ids_by_label_np(self, level: int):
@@ -372,6 +368,48 @@ class SequenceIndex:
         kind = "with" if self.allow_repetitions else "without"
         return (f"SequenceIndex(n={self.n}, source={self.source}, "
                 f"{kind} repetitions, built_levels={len(self._seqs)})")
+
+
+class LabelGroups:
+    """One level's node-ids grouped by last label (the sender label).
+
+    The Fault Discovery Rule scans a level's nodes label by label, in
+    ascending node-id order, and stops at a label's first node whose window
+    fires; the meter is charged for every node examined.  So per row and
+    label only the *rank* of that first fired node among the label's nodes
+    matters.  Every label that ends a node of the level ends the same
+    number of them, ``size`` — the root level holds only the source, and
+    below it every label but the source (every label, with repetitions) is
+    symmetric.  The table holds:
+
+    * ``labels`` — those labels, ascending, and ``column`` — each one's
+      position in that list (``None`` for a label ending no node);
+    * ``ranks[j]`` — node ``j``'s position among the nodes of its label;
+    * ``perm`` — an ndarray of the node-ids label by label (ascending
+      within a label), which cuts into one run of ``size`` per label.
+    """
+
+    __slots__ = ("labels", "column", "size", "ranks", "perm")
+
+    def __init__(self, last_labels: Sequence[ProcessorId],
+                 width: int) -> None:
+        from .npsupport import require_numpy
+        np = require_numpy()
+        lengths = [0] * width
+        self.ranks = []
+        for label in last_labels:
+            self.ranks.append(lengths[label])
+            lengths[label] += 1
+        self.labels = [label for label in range(width) if lengths[label]]
+        sizes = {lengths[label] for label in self.labels}
+        if len(sizes) != 1:
+            raise ValueError(f"labels end unequal numbers of nodes: {sizes}")
+        self.size = sizes.pop()
+        self.column = [None] * width
+        for column, label in enumerate(self.labels):
+            self.column[label] = column
+        self.perm = np.argsort(np.asarray(last_labels, dtype=np.int64),
+                               kind="stable")
 
 
 #: Shared per-shape index cache.  Keyed by the full shape so arbitrary

@@ -66,11 +66,18 @@ never gathered at all: the round that ends an EIG segment counts each
 parent's child values straight from the claims
 (:class:`~repro.core.fault_masking.ChildCounts`), and the discovery fixpoint,
 the bottom conversion vote, and the conversion-discovery triggers read the
-counts.
+counts.  Every discovery pass reduces its triggers to each sender label's
+first fired parent before the label scan.  Levels of more than
+:data:`~repro.core.npsupport.LARGE_LEVEL_ELEMENTS` codes take the
+large-level forms: the claims matrix and every level-sized temporary of the
+count, trigger and vote kernels live in per-thread
+:func:`~repro.core.npsupport.scratch` buffers reused from run to run, and
+only the level stacks themselves are allocated fresh.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Mapping,
                     Optional, Set, Tuple)
 
@@ -245,7 +252,11 @@ class _ShadowSpecProxy:
     Delegates everything to the real spec but intercepts ``build`` — once per
     faulty pid — to hand out :class:`_ShadowProcessor` views of the run's
     shadow rows.  Builds for non-faulty pids (or repeated builds) fall
-    through to the real spec.
+    through to the real spec.  The proxy and the shadows hold the runner
+    through a weak proxy: the runner holds the adversary, so strong
+    references back would make every run a reference cycle, and its level
+    stacks (which the adversary's messages view) would outlive the run
+    until a full garbage collection.
     """
 
     __slots__ = ("_spec", "_runner")
@@ -404,16 +415,18 @@ class _BatchedRun:
                 or config is not self.config):
             return None
         self._claimed_shadows.add(pid)
+        runner = weakref.proxy(self)
         if pid == config.source:
-            return _ShadowProcessor(self, pid, config, None)
+            return _ShadowProcessor(runner, pid, config, None)
         return _ShadowProcessor(
-            self, pid, config,
+            runner, pid, config,
             self.main_count + self.shadow_pids.index(pid))
 
     # -- driver ----------------------------------------------------------------
     def run(self) -> "RunResult":
         self.adversary.bind(AdversaryContext(
-            config=self.config, spec=_ShadowSpecProxy(self.spec, self),
+            config=self.config,
+            spec=_ShadowSpecProxy(self.spec, weakref.proxy(self)),
             faulty=self.faulty, seed=self.seed))
         c_first_round = self.c_first_round or self.total_rounds + 1
         for round_number in range(1, self.total_rounds + 1):
@@ -705,15 +718,21 @@ class _BatchedRun:
                 row_of_rows[i][sender] = row_idx
         row_of = (np.asarray(row_of_rows, dtype=np.int64)
                   if self._small_row_of else row_of_rows)
-        from ..core.npsupport import DEFAULT_CODE
-        prev_stack = self.state.raw_stack(prev_level)
-        default_row = np.full((1, prev_size), DEFAULT_CODE,
-                              dtype=prev_stack.dtype)
-        if extra_rows:
-            claims = np.concatenate(
-                [prev_stack, default_row, np.stack(extra_rows)])
-        else:
-            claims = np.concatenate([prev_stack, default_row])
+        from ..core.npsupport import (DEFAULT_CODE, LARGE_LEVEL_ELEMENTS,
+                                      fresh, scratch)
+        # The claims matrix lives until the round's conversion at most, so
+        # a large level's is a reused per-thread buffer.
+        child_codes = self.count * (prev_size * self.index.branch(prev_level)
+                                    if counted else
+                                    self.index.level_size(level))
+        buffer = scratch if child_codes > LARGE_LEVEL_ELEMENTS else fresh
+        claims = buffer("round.claims",
+                        (default_idx + 1 + len(extra_rows), prev_size),
+                        self.code_dtype)
+        claims[:default_idx] = self.state.raw_stack(prev_level)
+        claims[default_idx] = DEFAULT_CODE
+        for k, row in enumerate(extra_rows, start=default_idx + 1):
+            claims[k] = row
 
         # Each participant pays what gather_level_numpy charges: one unit per
         # stored node plus the echo pass over its own label's slots.

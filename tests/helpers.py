@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 from repro.core.protocol import ProtocolConfig
 from repro.experiments.workloads import standard_scenarios
 from repro.runtime.simulation import run_agreement
@@ -41,3 +43,29 @@ def assert_battery_correct(spec_factory, n: int, t: int, initial_value=1,
         count += 1
     assert count > 0
     return count
+
+
+@contextmanager
+def large_level_forms():
+    """Run the batched kernels' large-level forms at every level size.
+
+    With ``LARGE_LEVEL_ELEMENTS`` at 0 the gather reads claims label by
+    label, and the count, trigger, vote and claims kernels take their
+    temporaries from the per-thread ``scratch`` buffers, however small the
+    level.  Yields the name of every scratch buffer requested, so a caller
+    can assert that the reuse paths really ran.
+    """
+    import pytest
+
+    from repro.core import npsupport
+    requested = []
+    reused = npsupport.scratch
+
+    def recording_scratch(name, shape, dtype):
+        requested.append(name)
+        return reused(name, shape, dtype)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(npsupport, "LARGE_LEVEL_ELEMENTS", 0)
+        patch.setattr(npsupport, "scratch", recording_scratch)
+        yield requested

@@ -6,17 +6,21 @@ counts each parent's children by value straight from the round's claims
 Fault Masking and the conversion's bottom vote on those counts.  These tests
 pin that path to the per-processor numpy engine for every registered
 adversary, with and without a faulty source; across row-block budgets that
-step the count kernel one row at a time, in uneven blocks, or whole; and
-they pin the runs the batched executor declines, so the caller falls back
-with the adversary still unbound.
+step the count kernel one row at a time, in uneven blocks, or whole; they
+pin the runs the batched executor declines, so the caller falls back with
+the adversary still unbound; and they check that the large-level forms'
+per-thread scratch buffers survive reuse by a smaller run and two threads
+running at once.
 """
 
+import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
-from repro.api import build_adversary
+from repro.api import RunRequest, build_adversary, execute
 from repro.adversary import adversary_registry
 from repro.baselines.phase_king import PhaseKingSpec
 from repro.core import npsupport
@@ -28,6 +32,7 @@ from repro.core.hybrid import HybridSpec
 from repro.core.protocol import ProtocolConfig
 from repro.runtime.batched import run_batched_if_supported
 from repro.runtime.simulation import choose_faulty, run_agreement
+from tests.helpers import large_level_forms
 
 pytestmark = pytest.mark.skipif(not numpy_available(),
                                 reason="numpy not installed")
@@ -54,8 +59,9 @@ def counting_small_levels():
 
     Below ``16 × SMALL_KERNEL_ELEMENTS`` leaf elements the executor gathers
     a conversion level instead of counting it; with the scalar tiny-level
-    paths off, every level is counted.  Yields the parent level of every
-    :class:`ChildCounts` the executor builds.
+    paths off, every level is counted, and with ``LARGE_LEVEL_ELEMENTS`` at
+    0 it is counted in the reused scratch buffers of a large level.  Yields
+    the parent level of every :class:`ChildCounts` the executor builds.
     """
     from repro.runtime import batched
     seen = []
@@ -69,6 +75,7 @@ def counting_small_levels():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(npsupport, "SMALL_KERNEL_ELEMENTS", 0)
+        patch.setattr(npsupport, "LARGE_LEVEL_ELEMENTS", 0)
         patch.setattr(batched, "ChildCounts", RecordingCounts)
         yield seen
 
@@ -92,8 +99,9 @@ def _assert_identical(candidate, expected, context):
 def _run_blocked(rows_per_block, adversary, seed, steps=None):
     """Exponential n=8 stepped in blocks of *rows_per_block* leaf rows.
 
-    The scalar tiny-level paths are off so the vectorized kernels run.  With
-    *steps*, the block sizes of every count-kernel pass are appended to it.
+    The scalar tiny-level paths are off and the large-level forms on, so
+    the vectorized kernels run in their reused buffers.  With *steps*, the
+    block sizes of every count-kernel pass are appended to it.
     """
     config = ProtocolConfig(n=BLOCKED_N, t=2, initial_value=1,
                             engine="batched")
@@ -108,6 +116,7 @@ def _run_blocked(rows_per_block, adversary, seed, steps=None):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(npsupport, "SMALL_KERNEL_ELEMENTS", 0)
+        patch.setattr(npsupport, "LARGE_LEVEL_ELEMENTS", 0)
         patch.setattr(npsupport, "ROW_BLOCK_ELEMENTS",
                       rows_per_block * BLOCKED_LEAF)
         patch.setattr(npsupport, "row_blocks", recording_row_blocks)
@@ -185,3 +194,107 @@ def test_no_correct_participant_returns_none():
     assert run_batched_if_supported(
         ExponentialSpec(), config, frozenset({1, 2, 3}),
         build_adversary("silent"), 0) is None
+
+
+#: Two cells of different shapes whose every level takes the large-level
+#: forms, and whose conversion levels are counted, under
+#: :func:`counting_small_levels`: the bigger one grows every scratch buffer,
+#: the smaller one then reads views of the grown buffers.
+REUSE_CELLS = {
+    "exponential-13-4": RunRequest(protocol="exponential", n=13, t=4,
+                                   faulty=(0, 3, 7, 11),
+                                   adversary="two-faced", seed=5,
+                                   engine="batched"),
+    "exponential-7-2": RunRequest(protocol="exponential", n=7, t=2,
+                                  scenario="faulty-source-allies",
+                                  battery="worst-case", seed=3,
+                                  engine="batched"),
+}
+
+
+def _in_new_thread(work):
+    """Run *work* on a fresh thread (so with fresh scratch buffers)."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(work()))
+    thread.start()
+    thread.join()
+    return result[0]
+
+
+def _outcomes(names):
+    return [execute(REUSE_CELLS[name]).outcome_dict() for name in names]
+
+
+def test_scratch_buffers_reused_by_a_smaller_run_on_the_same_thread():
+    with counting_small_levels() as counted, large_level_forms() as requested:
+        fresh = {name: _in_new_thread(lambda name=name: _outcomes([name])[0])
+                 for name in REUSE_CELLS}
+        assert counted and "counts.hits" in requested
+        assert "round.claims" in requested
+        reused = _in_new_thread(
+            lambda: _outcomes(["exponential-13-4", "exponential-7-2",
+                               "exponential-13-4"]))
+    assert reused == [fresh["exponential-13-4"], fresh["exponential-7-2"],
+                      fresh["exponential-13-4"]]
+
+
+def test_two_threads_running_different_cells_at_once():
+    """Each thread has its own scratch buffers: interleaving two runs at
+    the finest switch interval leaves both outcomes as fresh runs give.
+    The small cell repeats until the big one is done, so the two overlap
+    through every round of the big one."""
+    repeats = {"exponential-13-4": 10, "exponential-7-2": 80}
+    with counting_small_levels(), large_level_forms():
+        fresh = {name: _in_new_thread(lambda name=name: _outcomes([name])[0])
+                 for name in REUSE_CELLS}
+        start = threading.Barrier(len(REUSE_CELLS))
+        outcomes = {}
+
+        def work(name):
+            start.wait()
+            outcomes[name] = _outcomes([name] * repeats[name])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(name,))
+                       for name in REUSE_CELLS]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+    for name in REUSE_CELLS:
+        assert outcomes[name] == [fresh[name]] * repeats[name], name
+
+
+def test_a_finished_run_is_freed_without_the_cycle_collector(monkeypatch):
+    """The adversary's shadows hold their runner weakly, so a finished
+    batched run — its level stacks included — is freed by reference
+    counting as soon as it returns, even while the caller keeps the
+    adversary, instead of waiting in a cycle for a full collection."""
+    import gc
+    import weakref
+
+    from repro.runtime import batched
+    runners = []
+    run = batched._BatchedRun.run
+
+    def recording_run(self):
+        runners.append(weakref.ref(self))
+        return run(self)
+
+    monkeypatch.setattr(batched._BatchedRun, "run", recording_run)
+    config = ProtocolConfig(n=BLOCKED_N, t=2, initial_value=1,
+                            engine="batched")
+    adversary = build_adversary("equivocating-source-allies")
+    gc.disable()
+    try:
+        result = run_batched_if_supported(
+            ExponentialSpec(), config,
+            choose_faulty(BLOCKED_N, 2, source_faulty=True), adversary, 0)
+        assert result is not None and runners
+        assert runners[0]() is None
+    finally:
+        gc.enable()

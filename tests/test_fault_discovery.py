@@ -176,7 +176,8 @@ class TestChildCountsMatchStackKernels:
     def test_counts_match_gathered_stack(self, data):
         import numpy as np
 
-        from repro.core.fault_discovery import batched_window_triggers
+        from repro.core.fault_discovery import (batched_window_triggers,
+                                                first_fired_ranks)
         from repro.core.fault_masking import (ChildCounts,
                                               gather_level_batched)
         from repro.core.npsupport import (DEFAULT_CODE, MISSING_CODE,
@@ -239,8 +240,13 @@ class TestChildCountsMatchStackKernels:
             triggers = batched_window_triggers(
                 stack, parents, branch, slots, suspect_sets,
                 np.asarray(budgets, dtype=np.int64), len(VALUE_CODEC))
-            assert counts.fired_ids(range(rows), suspect_sets, budgets) == [
-                np.flatnonzero(row).tolist() for row in triggers]
+            # Every window's trigger, then the first fired ranks both
+            # sources reduce those triggers to.
+            assert (counts.window_triggers(range(rows), suspect_sets, budgets)
+                    == triggers).all()
+            assert counts.first_fired(range(rows), suspect_sets, budgets) == (
+                first_fired_ranks(triggers, index.label_groups(parent_level))
+                .tolist())
             for conversion in ("resolve", "resolve_prime"):
                 expected = _vote_level_select(
                     np, stack.reshape(-1, branch), branch,
@@ -310,13 +316,17 @@ class TestChildMaskAndCounts:
         size = 5  # the five level-2 nodes (0, c), c = 1 … 5
         claims = [[MISSING_CODE] * size, [VALUE_CODEC.code(5)] * size,
                   [DEFAULT_CODE] * size]
-        _, counts = self._counts(n, parent_level, claims,
-                                 [[0] * n, [1] * n], default_row=2)
+        index, counts = self._counts(n, parent_level, claims,
+                                     [[0] * n, [1] * n], default_row=2)
         assert counts.counts.dtype == np.uint8
         assert not counts.counts.any()
         # Every child reads the default: a full default majority, so no
         # window fires and both conversions keep the default.
-        assert counts.fired_ids([0, 1], [set(), set()], [0, 0]) == [[], []]
+        assert not counts.window_triggers([0, 1], [set(), set()],
+                                          [0, 0]).any()
+        groups = index.label_groups(parent_level)
+        assert counts.first_fired([0, 1], [set(), set()], [0, 0]) == [
+            [groups.size] * len(groups.labels)] * 2
         for conversion in ("resolve", "resolve_prime"):
             assert (counts.vote(conversion, 1) == DEFAULT_CODE).all()
 
@@ -339,3 +349,165 @@ class TestChildMaskAndCounts:
         # Masking a sender whose claims were counted removes its children.
         assert counts.mask_senders(0, {4}) == 4
         assert counts.counts.sum() == before.sum() - 4
+
+
+def reference_label_scan(last_labels, fired, suspects, discovered,
+                         charge_per_parent):
+    """The Fault Discovery Rule's label scan, parent by parent.
+
+    Walks the parents in node-id order as the reference and flat passes do:
+    a parent whose label is suspected or already discovered is skipped and
+    not charged; every examined parent is charged, and a fired window
+    discovers its label.  Updates *discovered*; returns the charge.
+    """
+    charge = 0
+    for parent_id, label in enumerate(last_labels):
+        if label in suspects or label in discovered:
+            continue
+        charge += charge_per_parent
+        if fired[parent_id]:
+            discovered.add(label)
+    return charge
+
+
+def fired_id_scan(index, parent_level, fired_ids, suspects, discovered,
+                  charge_per_parent):
+    """The fired-id label scan the first-fired form replaced.
+
+    A label is discovered at its first fired id and charged for the ids of
+    that label up to and including it; every other label is charged for
+    all of its ids.
+    """
+    from bisect import bisect_right
+    labels = index.last_labels(parent_level)
+    ids_by_label = {}
+    for parent_id, label in enumerate(labels):
+        ids_by_label.setdefault(label, []).append(parent_id)
+    first_fired = {}
+    for parent_id in fired_ids:
+        first_fired.setdefault(labels[parent_id], parent_id)
+    charge = 0
+    for label, ids in ids_by_label.items():
+        if label in suspects or label in discovered:
+            continue
+        first = first_fired.get(label)
+        if first is None:
+            charge += charge_per_parent * len(ids)
+        else:
+            discovered.add(label)
+            charge += charge_per_parent * bisect_right(ids, first)
+    return charge
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+class TestFirstFiredScan:
+    """Every trigger source reduces its trigger rows to the first fired
+    parent of each label, and the label scan reads only that form.  The
+    reduction plus the scan must discover and charge exactly what the
+    parent-by-parent reference scan and the fired-id scan it replaced do."""
+
+    @staticmethod
+    def _draw_level(data):
+        from repro.core.sequences import sequence_index
+        n = data.draw(st.integers(3, 7), label="n")
+        repetitions = data.draw(st.booleans(), label="repetitions")
+        deepest = 3 if repetitions else min(4, n - 1)
+        parent_level = data.draw(st.integers(1, deepest), label="level")
+        return n, parent_level, sequence_index(0, tuple(range(n)),
+                                               repetitions)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_reduction_and_scan_match_brute_force(self, data):
+        import numpy as np
+
+        from repro.core.fault_discovery import (first_fired_ranks,
+                                                scan_first_fired)
+        n, parent_level, index = self._draw_level(data)
+        size = index.level_size(parent_level)
+        rows = data.draw(st.integers(1, 3), label="rows")
+        kind = data.draw(st.sampled_from(["random", "all", "none"]),
+                         label="kind")
+        if kind == "random":
+            triggers = np.asarray(
+                [data.draw(st.lists(st.booleans(), min_size=size,
+                                    max_size=size)) for _ in range(rows)],
+                dtype=bool).reshape(rows, size)
+        else:
+            triggers = np.full((rows, size), kind == "all")
+        groups = index.label_groups(parent_level)
+        first = first_fired_ranks(triggers, groups)
+        assert first.shape == (rows, len(groups.labels))
+        labels = index.last_labels(parent_level)
+        charge_per_parent = data.draw(st.integers(1, 4), label="per parent")
+        for i in range(rows):
+            suspects = data.draw(st.sets(st.integers(0, n - 1), max_size=3),
+                                 label="suspects")
+            already = data.draw(st.sets(st.integers(0, n - 1), max_size=2),
+                                label="discovered")
+            discovered = set(already)
+            charge = scan_first_fired(first[i].tolist(), groups, suspects,
+                                      discovered, charge_per_parent)
+            expected = set(already)
+            assert charge == reference_label_scan(
+                labels, triggers[i], suspects, expected, charge_per_parent)
+            assert discovered == expected
+            replaced = set(already)
+            assert charge == fired_id_scan(
+                index, parent_level, np.flatnonzero(triggers[i]).tolist(),
+                suspects, replaced, charge_per_parent)
+            assert discovered == replaced
+        if kind == "none":
+            assert (first == groups.size).all()
+        if kind == "all":
+            assert (first == 0).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_scalar_and_vectorized_sources_agree(self, data):
+        """The tiny-level scalar path reduces the same windows to the same
+        ranks as the vectorized trigger kernel plus the reduction."""
+        import numpy as np
+
+        from repro.core.fault_discovery import (_first_fired_python,
+                                                batched_window_triggers,
+                                                first_fired_ranks)
+        from repro.core.npsupport import VALUE_CODEC
+        n, parent_level, index = self._draw_level(data)
+        child_level = parent_level + 1
+        parents = index.level_size(parent_level)
+        branch = index.branch(parent_level)
+        rows = data.draw(st.integers(1, 3), label="rows")
+        codes = [VALUE_CODEC.code(v) for v in (0, 1, 2)]
+        stack = np.asarray(
+            [data.draw(st.lists(st.sampled_from(codes),
+                                min_size=parents * branch,
+                                max_size=parents * branch))
+             for _ in range(rows)], dtype="int32").reshape(rows, -1)
+        suspect_sets = [data.draw(st.sets(st.integers(0, n - 1), max_size=3))
+                        for _ in range(rows)]
+        budgets = [data.draw(st.integers(-1, 2)) for _ in range(rows)]
+        groups = index.label_groups(parent_level)
+        triggers = batched_window_triggers(
+            stack, parents, branch, index.slots_np(child_level),
+            suspect_sets, np.asarray(budgets, dtype=np.int64),
+            len(VALUE_CODEC))
+        assert _first_fired_python(
+            stack.tolist(), parents, branch, index.last_labels(parent_level),
+            index.last_labels(child_level), groups, suspect_sets,
+            budgets) == first_fired_ranks(triggers, groups).tolist()
+
+    def test_root_level_has_one_label(self):
+        import numpy as np
+
+        from repro.core.fault_discovery import first_fired_ranks
+        from repro.core.sequences import sequence_index
+        index = sequence_index(0, tuple(range(5)), False)
+        groups = index.label_groups(1)
+        assert groups.labels == [0] and groups.size == 1
+        assert first_fired_ranks(np.array([[True], [False]]),
+                                 groups).tolist() == [[0], [1]]
+        # Below the root every label but the source ends equally many nodes.
+        groups = index.label_groups(3)
+        assert groups.labels == [1, 2, 3, 4] and groups.size == 3
+        assert groups.column[0] is None

@@ -24,7 +24,7 @@ across all four modes for the same seed (the rng draw order is part of the
 observational contract).
 """
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import pytest
@@ -46,6 +46,7 @@ from repro.core.sequences import sequences_of_length
 from repro.core.tree import make_tree
 from repro.core.values import DEFAULT_VALUE, is_bottom
 from repro.runtime.simulation import run_agreement
+from tests.helpers import large_level_forms
 
 ADVERSARY_NAMES = sorted(adversary_registry())
 
@@ -297,9 +298,11 @@ def forced_row_blocks(rows, leaf_size):
 
     The odd *rows*-row stack then splits into uneven blocks ending in a
     one-row block, and shallower levels into fewer, larger blocks.  The
-    scalar tiny-level paths are switched off so that the vectorized, blocked
-    kernels run at these small sizes.  Yields the list of block sizes every
-    kernel call stepped (see :func:`stepped_uneven_blocks`).
+    scalar tiny-level paths are switched off and the large-level forms
+    switched on, so that the vectorized, blocked kernels — label-by-label
+    gather and reused scratch buffers included — run at these small sizes.
+    Yields the list of block sizes every kernel call stepped (see
+    :func:`stepped_uneven_blocks`).
     """
     from repro.core import npsupport
     seen = []
@@ -312,6 +315,7 @@ def forced_row_blocks(rows, leaf_size):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(npsupport, "SMALL_KERNEL_ELEMENTS", 0)
+        patch.setattr(npsupport, "LARGE_LEVEL_ELEMENTS", 0)
         patch.setattr(npsupport, "ROW_BLOCK_ELEMENTS", 2 * leaf_size)
         patch.setattr(npsupport, "row_blocks", recording_row_blocks)
         leaf_blocks = [stop - start for start, stop
@@ -358,11 +362,15 @@ class TestBatchedRunEquivalence:
                          suppress_health_check=[HealthCheck.too_slow])
 
     @staticmethod
-    def _check_four_way(data, label, spec_factory, n, t, leaf_size=None):
+    def _check_four_way(data, label, spec_factory, n, t, leaf_size=None,
+                        large_forms=False):
         """Draw one run and assert every mode matches the reference.
 
         With *leaf_size*, the batched run steps under
-        :func:`forced_row_blocks` and must really split its stacks.
+        :func:`forced_row_blocks` and must really split its stacks.  With
+        *large_forms*, it runs the large-level forms at every level
+        (:func:`~tests.helpers.large_level_forms`) and must really take
+        their scratch buffers.
         """
         count = data.draw(st.integers(min_value=0, max_value=t))
         faulty = frozenset(data.draw(
@@ -379,12 +387,16 @@ class TestBatchedRunEquivalence:
         }
         adversary = adversary_registry()[adversary_name]()
         forced = None if leaf_size is None else (n - 1, leaf_size)
-        with _maybe_forced_row_blocks(forced) as seen:
+        with _maybe_forced_row_blocks(forced) as seen, (
+                large_level_forms() if large_forms
+                else nullcontext([])) as requested:
             results["batched"] = _run_mode("batched", spec_factory, config,
                                            faulty, adversary, seed)
-        if (forced is not None and
-                getattr(adversary, "batched_fallback_reason", None) is None):
-            assert stepped_uneven_blocks(seen), (adversary_name, seen)
+        if getattr(adversary, "batched_fallback_reason", None) is None:
+            if forced is not None:
+                assert stepped_uneven_blocks(seen), (adversary_name, seen)
+            if large_forms:
+                assert "round.claims" in requested, adversary_name
         reference = results["reference"]
         for mode in ALL_MODES[1:]:
             candidate = results[mode]
@@ -430,10 +442,13 @@ class TestBatchedRunEquivalence:
 
     @_settings
     @given(data=st.data())
+    @pytest.mark.parametrize("large_forms", [False, True],
+                             ids=["size-selected", "large-forms"])
     @pytest.mark.parametrize("label, spec_factory, n, t", BATCHED_SPECS)
     def test_four_way_observational_identity(self, data, label, spec_factory,
-                                             n, t):
-        self._check_four_way(data, label, spec_factory, n, t)
+                                             n, t, large_forms):
+        self._check_four_way(data, label, spec_factory, n, t,
+                             large_forms=large_forms)
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("faulty", [frozenset({5, 6}),
