@@ -342,7 +342,7 @@ def _first_fired_python(child_rows, parents_size: int, branch: int,
 
 def batched_first_fired(child_stacks, parents_size: int, branch: int,
                         index: SequenceIndex, child_level: int,
-                        suspect_sets, budgets, num_codes: int, rows=None):
+                        suspect_sets, budgets, codes, rows=None):
     """First fired ranks per participant for one stacked level.
 
     Dispatches between the vectorized trigger kernel
@@ -350,8 +350,10 @@ def batched_first_fired(child_stacks, parents_size: int, branch: int,
     and the scalar tiny-level path; either way the result feeds
     :func:`scan_first_fired`, so discovery decisions and meter charges are
     one shared implementation.  *rows* (every row by default) selects the
-    stack rows *suspect_sets* and *budgets* describe.  Returns one list of
-    ranks per selected row.
+    stack rows *suspect_sets* and *budgets* describe, and *codes* are the
+    non-default codes the stack can hold
+    (:func:`~repro.core.npsupport.stack_codes`).  Returns one list of ranks
+    per selected row.
     """
     from .npsupport import (LARGE_LEVEL_ELEMENTS, SMALL_KERNEL_ELEMENTS,
                             fresh, require_numpy, scratch)
@@ -374,41 +376,43 @@ def batched_first_fired(child_stacks, parents_size: int, branch: int,
                                        index.slots_np(child_level),
                                        suspect_sets,
                                        np.asarray(budgets, dtype=np.int64),
-                                       num_codes, buffer)
+                                       codes, buffer)
     return first_fired_ranks(triggers, groups, buffer).tolist()
 
 
 def batched_window_triggers(child_stacks, parents_size: int, branch: int,
-                            child_slots, suspect_sets, budgets,
-                            num_codes: int, buffer=None):
+                            child_slots, suspect_sets, budgets, codes,
+                            buffer=None):
     """Per-``(participant, parent)`` Fault Discovery triggers for a whole run.
 
     2-D twin of :func:`_window_triggers_numpy`: *child_stacks* is the
     ``(participants, level_size)`` stack of one level (no ``MISSING_CODE``
     entries — the batched executor stores whole levels), *child_slots* the
     child level's ``slots_np`` table, *suspect_sets* each participant's
-    ``L_p``, and *budgets* the per-participant ``t − |L_p|``.  One
-    ``bincount`` per row block (:func:`~repro.core.npsupport.row_blocks`)
-    over its ``(block rows · parents, branch)`` reshape tallies every window
-    of those participants at once — or, given a large level's scratch
-    *buffer*, :func:`~repro.core.npsupport.window_top` ranks them code by
-    code; the unlisted-deviation count is derived from the top code's tally
+    ``L_p``, *budgets* the per-participant ``t − |L_p|``, and *codes* the
+    non-default codes the stack can hold.  One ``bincount`` per row block
+    (:func:`~repro.core.npsupport.row_blocks`) over its ``(block rows ·
+    parents, branch)`` reshape tallies every window of those participants
+    at once — or, given a large level's scratch *buffer*,
+    :func:`~repro.core.npsupport.window_top` ranks *codes* one by one; the
+    unlisted-deviation count is derived from the top code's tally
     (``branch − best's tally``) minus a per-suspect-label slot fixup,
     avoiding any ``(participants, parents, branch)`` temporary.
     """
-    from .npsupport import (fresh, require_numpy, row_blocks,
+    from .npsupport import (VALUE_CODEC, fresh, require_numpy, row_blocks,
                             window_tallies, window_top)
     np = require_numpy()
     rows = child_stacks.shape[0]
     shape = (rows, parents_size)
-    best = (buffer or fresh)("triggers.best", shape, np.intp)
-    best_count = (buffer or fresh)("triggers.best_count", shape, np.int64)
+    alloc = buffer or fresh
+    best = alloc("triggers.best", shape, np.intp)
+    best_count = alloc("triggers.best_count", shape, np.int64)
     for start, stop in row_blocks(rows, child_stacks.shape[1]):
         windows = child_stacks[start:stop].reshape(-1, branch)
         if buffer is not None:
-            block_best, block_count = window_top(windows, num_codes, buffer)
+            block_best, block_count = window_top(windows, codes, buffer)
         else:
-            tallies = window_tallies(windows, num_codes)
+            tallies = window_tallies(windows, len(VALUE_CODEC))
             block_best = tallies.argmax(axis=1)
             block_count = np.take_along_axis(tallies, block_best[:, None],
                                              axis=1)
@@ -418,12 +422,11 @@ def batched_window_triggers(child_stacks, parents_size: int, branch: int,
     # deviates from its window's top code (a strict majority is unique, so
     # the argmax tie-break never affects triggering windows).
     deviating = np.subtract(branch, best_count,
-                            out=(buffer or fresh)("triggers.deviating", shape,
-                                                  np.int64))
+                            out=alloc("triggers.deviating", shape, np.int64))
     for row_index, suspects in enumerate(suspect_sets):
         if not suspects:
             continue
-        codes = child_stacks[row_index]
+        row_codes = child_stacks[row_index]
         dev = deviating[row_index]
         top = best[row_index]
         for label in suspects:
@@ -433,7 +436,7 @@ def batched_window_triggers(child_stacks, parents_size: int, branch: int,
             slots, parents = entry
             # Each parent has at most one child per label, so the fancy
             # in-place subtract sees unique indices.
-            dev[parents] -= codes[slots] != top[parents]
+            dev[parents] -= row_codes[slots] != top[parents]
     return (best_count <= branch // 2) | (deviating > budgets[:, None])
 
 
@@ -510,14 +513,16 @@ def discover_during_conversion_batched(index: SequenceIndex,
                                        suspect_sets: Sequence[Set[ProcessorId]],
                                        t: int,
                                        meters: Sequence[ComputationMeter],
-                                       bottom=None
+                                       codes, bottom=None
                                        ) -> List[Set[ProcessorId]]:
     """Whole-run counterpart of :func:`discover_during_conversion_numpy`.
 
     *converted_stacks* is the output of
     :func:`repro.core.resolve.batched_resolve_levels` (one
     ``(participants, level_size)`` code stack per level); *suspect_sets* holds
-    each participant's ``L_p`` at conversion time.  One 2-D trigger kernel per
+    each participant's ``L_p`` at conversion time, and *codes* the
+    non-default codes the converted stacks can hold
+    (:func:`~repro.core.npsupport.stack_codes`).  One 2-D trigger kernel per
     level serves every participant; the per-label scan — and therefore every
     decision and meter charge — is the per-processor pass verbatim, row by
     row.  With *bottom*, the
@@ -525,12 +530,10 @@ def discover_during_conversion_batched(index: SequenceIndex,
     level, the deepest parents take their triggers from the counts (leaves
     convert to themselves).
     """
-    from .npsupport import VALUE_CODEC
     count = len(suspect_sets)
     discovered: List[Set[ProcessorId]] = [set() for _ in range(count)]
     budgets = [t - len(suspects) for suspects in suspect_sets]
     charges = [0] * count
-    num_codes = len(VALUE_CODEC)
     for level in range(1, num_levels):
         if bottom is not None and level == num_levels - 1:
             first = bottom.first_fired(range(count), suspect_sets, budgets)
@@ -538,7 +541,7 @@ def discover_during_conversion_batched(index: SequenceIndex,
             first = batched_first_fired(
                 converted_stacks[level], index.level_size(level),
                 index.branch(level), index, level + 1, suspect_sets,
-                budgets, num_codes)
+                budgets, codes)
         groups = index.label_groups(level)
         branch = index.branch(level)
         for i in range(count):

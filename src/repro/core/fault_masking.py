@@ -178,9 +178,8 @@ def gather_level_batched(state, level: int, claims, row_of, domain_mask
     because the gather only selects claims.
 
     A stack of at most :data:`~repro.core.npsupport.LARGE_LEVEL_ELEMENTS`
-    codes is filled a row block (:func:`~repro.core.npsupport.row_blocks`)
-    at a time through flat claim offsets.  A larger one needs no
-    level-sized offsets: its first row is filled label by label,
+    codes is read in one ``take`` through flat claim offsets.  A larger one
+    needs no level-sized offsets: its first row is filled label by label,
     ``stack[0, slots] = claims[row_of[0, c], parents]``, every other row
     starts as a copy of it, and only the labels not routed alike in every
     row (the faulty, suspect and echo columns) are read again per row.
@@ -191,36 +190,30 @@ def gather_level_batched(state, level: int, claims, row_of, domain_mask
     out-of-domain claim collapses to the default exactly as the Fault
     Masking / default-substitution rules require.
     """
-    from .npsupport import (DEFAULT_CODE, LARGE_LEVEL_ELEMENTS, require_numpy,
-                            row_blocks)
+    from .npsupport import DEFAULT_CODE, LARGE_LEVEL_ELEMENTS, require_numpy
     np = require_numpy()
     index = state.index
     masked = np.where(domain_mask[claims], claims, DEFAULT_CODE)
     rows = row_of.shape[0]
     size = index.level_size(level)
-    stack = np.empty((rows, size), dtype=claims.dtype)
-    if rows * size > LARGE_LEVEL_ELEMENTS:
-        slots_table = index.slots_np(level)
-        routes = row_of[0].tolist()
-        for label, (slots, parents) in slots_table.items():
-            stack[0, slots] = masked[routes[label], parents]
-        stack[1:] = stack[0]
-        for label in np.flatnonzero((row_of[1:] != row_of[:1]).any(
-                axis=0)).tolist():
-            if label in slots_table:
-                slots, parents = slots_table[label]
-                stack[1:, slots] = masked[row_of[1:, label, None], parents]
-        state.append_level(stack)
+    if rows * size <= LARGE_LEVEL_ELEMENTS:
+        # Flat claims offset of every (receiver, child slot) pair.
+        offsets = np.take(row_of * claims.shape[1],
+                          index.last_labels_np(level), axis=1)
+        offsets += index.parent_ids_np(level)
+        state.append_level(np.take(masked.reshape(-1), offsets))
         return
-    flat_claims = masked.reshape(-1)
-    # Flat claims offset of every (receiver, sender label) pair.
-    row_starts = row_of * claims.shape[1]
-    last_labels = index.last_labels_np(level)
-    parent_ids = index.parent_ids_np(level)
-    for start, stop in row_blocks(rows, size):
-        offsets = np.take(row_starts[start:stop], last_labels, axis=1)
-        offsets += parent_ids
-        np.take(flat_claims, offsets, out=stack[start:stop])
+    stack = np.empty((rows, size), dtype=claims.dtype)
+    slots_table = index.slots_np(level)
+    routes = row_of[0].tolist()
+    for label, (slots, parents) in slots_table.items():
+        stack[0, slots] = masked[routes[label], parents]
+    stack[1:] = stack[0]
+    for label in np.flatnonzero((row_of[1:] != row_of[:1]).any(
+            axis=0)).tolist():
+        if label in slots_table:
+            slots, parents = slots_table[label]
+            stack[1:, slots] = masked[row_of[1:, label, None], parents]
     state.append_level(stack)
 
 
@@ -233,23 +226,23 @@ class _StackedLevel:
     """
 
     __slots__ = ("index", "level", "stack", "slots", "branch",
-                 "parents_size")
+                 "parents_size", "codes")
 
-    def __init__(self, state, level: int) -> None:
+    def __init__(self, state, level: int, codes) -> None:
         self.index = state.index
         self.level = level
         self.stack = state.raw_stack(level)
         self.slots = self.index.slots_np(level)
         self.branch = self.index.branch(level - 1)
         self.parents_size = self.index.level_size(level - 1)
+        self.codes = codes
 
     def first_fired(self, rows: List[int], suspect_sets,
                     budgets) -> List[List[int]]:
         from .fault_discovery import batched_first_fired
-        from .npsupport import VALUE_CODEC
         return batched_first_fired(self.stack, self.parents_size,
                                    self.branch, self.index, self.level,
-                                   suspect_sets, budgets, len(VALUE_CODEC),
+                                   suspect_sets, budgets, self.codes,
                                    rows=rows)
 
     def mask_senders(self, i: int, senders) -> int:
@@ -312,8 +305,8 @@ class ChildCounts:
 
     def __init__(self, index, parent_level: int, claims, row_of,
                  default_row: int, domain_mask) -> None:
-        from .npsupport import (DEFAULT_CODE, LARGE_LEVEL_ELEMENTS, fresh,
-                                require_numpy, scratch)
+        from .npsupport import (LARGE_LEVEL_ELEMENTS, fresh, require_numpy,
+                                scratch, stack_codes)
         np = require_numpy()
         self.branch = branch = index.branch(parent_level)
         self.parents_size = parents = index.level_size(parent_level)
@@ -325,8 +318,7 @@ class ChildCounts:
         self.default_row = default_row
         self.claims = claims
         self.domain_mask = domain_mask
-        self.codes = [code for code in np.flatnonzero(domain_mask).tolist()
-                      if code != DEFAULT_CODE]
+        self.codes = stack_codes(domain_mask)
         rows = row_of.shape[0]
         shape = (rows, parents)
         self._scratch = (scratch if rows * parents * branch
@@ -528,7 +520,7 @@ class ChildCounts:
 
 def discover_and_mask_batched(state, level: int,
                               trackers: List[FaultTracker],
-                              round_number: int, meters,
+                              round_number: int, meters, codes,
                               counts: "ChildCounts" = None
                               ) -> List[Set[ProcessorId]]:
     """Whole-run fixpoint of batched discovery and row-slice masking.
@@ -541,7 +533,8 @@ def discover_and_mask_batched(state, level: int,
     fresh is deactivated — its row can no longer change (masking only
     rewrites the owner's row) — which reproduces the per-processor
     fixpoint's termination and charge accounting verbatim.  *level* is the
-    stacked level of *state*, or — given *counts*, its
+    stacked level of *state*, whose stack holds the default and *codes*
+    (:func:`~repro.core.npsupport.stack_codes`), or — given *counts*, its
     :class:`ChildCounts` — the level below the stored ones, which is then
     never gathered.  Returns the per-participant sets of newly discovered
     processors.
@@ -552,7 +545,7 @@ def discover_and_mask_batched(state, level: int,
     if counts is None:
         if level < 2 or level > state.num_levels:
             return newly
-        source = _StackedLevel(state, level)
+        source = _StackedLevel(state, level, codes)
     else:
         source = counts
     charge_per_parent = 2 * source.branch

@@ -91,11 +91,11 @@ CODE_DTYPE_NAME = "int32"
 SMALL_KERNEL_ELEMENTS = 512
 
 #: Element budget of one row block of the whole-stack batched kernels
-#: (discovery triggers, conversion votes, the count kernel's ranking, the
-#: small-level gather).  Their temporaries are a few times the block, so a
-#: block this size keeps them cache-sized where one pass over a whole
-#: ``n = 16`` level-5 stack (491 400 codes) would stream megabytes through
-#: memory.  Stacks up to ``n = 13`` fit in one block.
+#: (discovery triggers, conversion votes, the count kernel's ranking).
+#: Their temporaries are a few times the block, so a block this size keeps
+#: them cache-sized where one pass over a whole ``n = 16`` level-5 stack
+#: (491 400 codes) would stream megabytes through memory.  Stacks up to
+#: ``n = 13`` fit in one block.
 ROW_BLOCK_ELEMENTS = 1 << 18
 
 #: Stacks of more than this many codes (child codes, for a counted level)
@@ -347,24 +347,16 @@ def vote_windows(codes, rows: int, branch: int):
     return codes.reshape(rows, branch)
 
 
-def window_tallies(windows, num_codes: int, buffer=None):
+def window_tallies(windows, num_codes: int):
     """Per-window vote tallies: ``tallies[i, c]`` counts code ``c`` in row ``i``.
 
     One ``bincount`` over offset codes (row ``i`` shifted by ``i·num_codes``)
     tallies every window of the level at once.  The offset arithmetic runs in
     int64: it cannot overflow there, and ``bincount`` consumes native intp
-    input directly instead of recasting.  A large batched level passes its
-    :func:`scratch` *buffer* instead and is tallied code by code there
-    (:func:`_code_counts`), to the same tallies.
+    input directly instead of recasting.
     """
     np = require_numpy()
     rows = windows.shape[0]
-    if buffer is not None:
-        tallies = buffer("tallies.counts", (rows, num_codes), np.int64)
-        tallies[:, MISSING_CODE] = 0
-        tallies[:, DEFAULT_CODE:] = _code_counts(windows, num_codes,
-                                                 buffer).T
-        return tallies
     total = rows * num_codes
     if rows <= _OFFSET_CACHE_ROWS:
         offsets = _window_offsets(rows, num_codes)
@@ -374,52 +366,74 @@ def window_tallies(windows, num_codes: int, buffer=None):
     return np.bincount(flat, minlength=total).reshape(rows, num_codes)
 
 
-def window_top(windows, num_codes: int, buffer):
+def window_top(windows, codes, buffer):
     """Per-window top code and its tally, for a large batched level.
 
     What ``argmax`` over :func:`window_tallies` and the tally it picks give
     — the first maximum in code order — ranked code by code over
-    :func:`_code_counts` in *buffer*, without forming the tallies.
+    :func:`_code_counts` in *buffer*, without forming the tallies.  *codes*
+    are the non-default codes the windows can hold, ascending
+    (:func:`stack_codes`).
     """
     np = require_numpy()
-    counts = _code_counts(windows, num_codes, buffer)
+    counts = _code_counts(windows, codes, buffer)
     shape = (windows.shape[0],)
     best = buffer("top.best", shape, np.intp)
     best_count = buffer("top.count", shape, counts.dtype)
     more = buffer("top.more", shape, bool)
     best.fill(DEFAULT_CODE)
     np.copyto(best_count, counts[0])
-    for code, count in enumerate(counts[1:], start=DEFAULT_CODE + 1):
+    for code, count in zip(codes, counts[1:]):
         np.greater(count, best_count, out=more)
         np.copyto(best, code, where=more)
         np.maximum(best_count, count, out=best_count)
     return best, best_count
 
 
-def _code_counts(windows, num_codes: int, buffer):
-    """``counts[k − DEFAULT_CODE, i]``: how often code ``k`` fills window ``i``.
+def _code_counts(windows, codes, buffer):
+    """How often the default and each of *codes* fill each window.
 
-    For a large batched level, in *buffer*: one equality pass and one
-    strided add per window column for every code from ``BOTTOM_CODE`` up,
-    and the default's count as the complement — a batched stack holds no
-    ``MISSING_CODE`` (the :class:`BatchedEIGState` invariant).  Ranking
-    these counts costs under half of the ``bincount`` and its ``argmax`` on
-    an ``n = 16`` level-5 row block, with no int64 temporaries.
+    ``counts[0, i]`` is the default's count in window ``i`` and
+    ``counts[k + 1, i]`` that of ``codes[k]``.  For a large batched level,
+    in *buffer*: one equality pass and one strided add per window column
+    for each of *codes*, and the default's count as the complement — a
+    batched stack holds no :data:`MISSING_CODE` (the
+    :class:`BatchedEIGState` invariant).  Ranking these counts costs under
+    half of the ``bincount`` and its ``argmax`` on an ``n = 16`` level-5
+    row block, with no int64 temporaries.
     """
     np = require_numpy()
     rows, branch = windows.shape
-    counts = buffer("codes.counts", (num_codes - DEFAULT_CODE, rows),
+    counts = buffer("codes.counts", (len(codes) + 1, rows),
                     np.min_scalar_type(branch))
     hits = buffer("codes.hits", windows.shape, bool)
     columns = hits.view(np.uint8)
     counts[0] = branch
-    for code, count in enumerate(counts[1:], start=DEFAULT_CODE + 1):
+    for code, count in zip(codes, counts[1:]):
         np.equal(windows, code, out=hits)
         np.copyto(count, columns[:, 0])
         for column in range(1, branch):
             count += columns[:, column]
         counts[0] -= count
     return counts
+
+
+def stack_codes(domain_mask, bottom: bool = False):
+    """The non-default codes a batched level stack can hold, ascending.
+
+    A gathered level holds the run's domain codes and the default (the
+    gather collapses every other claim to it, and masking writes it), so
+    do the ``resolve`` votes over it; ``resolve'`` votes (*bottom*) may
+    also hold :data:`BOTTOM_CODE`.  (The state-corruption hook may write
+    any code, but only into the top stored level after the round's
+    discovery and conversion; later kernels read only newer gathered levels
+    and the votes over them.)  The large-level kernels rank only these codes, not every code the
+    process-wide codec has interned.
+    """
+    np = require_numpy()
+    codes = [code for code in np.flatnonzero(domain_mask).tolist()
+             if code != DEFAULT_CODE]
+    return sorted(codes + [BOTTOM_CODE]) if bottom else codes
 
 
 #: Offset columns are cached only below this row count: for small windows

@@ -209,23 +209,17 @@ def flat_resolve_root(tree: FlatEIGTree, conversion: str, t: int) -> Value:
 # ---------------------------------------------------------------------------
 
 def _vote_level_select(np, windows, branch: int, majority: bool,
-                       threshold: int, num_codes: int, dtype, buffer=None):
+                       threshold: int, num_codes: int, dtype):
     """One level's conversion votes: ``windows`` → per-window converted code.
 
     The select shared by the per-processor and the batched numpy conversions:
     a single ``bincount`` tallies every ``(rows, branch)`` window, then
     ``resolve`` keeps strict majorities (default otherwise) and ``resolve'``
     zeroes the ``⊥`` column and demands a unique ``t + 1``-threshold winner.
-    A large batched level passes its scratch *buffer*, and is counted code
-    by code (:func:`~repro.core.npsupport.window_top`, or the tallies).
     """
     from .npsupport import (BOTTOM_CODE, DEFAULT_CODE, strict_majority,
-                            window_tallies, window_top)
-    if majority and buffer is not None:
-        best, best_count = window_top(windows, num_codes, buffer)
-        return np.where(best_count > branch // 2, best,
-                        DEFAULT_CODE).astype(dtype)
-    tallies = window_tallies(windows, num_codes, buffer)
+                            window_tallies)
+    tallies = window_tallies(windows, num_codes)
     if majority:
         best, has_majority = strict_majority(tallies, branch)
         out = np.where(has_majority, best, DEFAULT_CODE)
@@ -286,7 +280,8 @@ def numpy_resolve_levels(tree, conversion: str, t: int) -> List[object]:
     return levels
 
 
-def batched_resolve_levels(state, conversion: str, t: int, bottom=None):
+def batched_resolve_levels(state, conversion: str, t: int, codes,
+                           bottom=None):
     """Whole-run conversion: :func:`numpy_resolve_levels` over stacked levels.
 
     *state* is a :class:`~repro.core.npsupport.BatchedEIGState`; every
@@ -297,15 +292,20 @@ def batched_resolve_levels(state, conversion: str, t: int, bottom=None):
     ``(levels, per_participant_charge)`` where ``levels[ℓ - 1]`` is the
     ``(participants, level_size)`` converted code stack of level ``ℓ`` and the
     charge equals what :func:`numpy_resolve_levels` bills one processor (the
-    caller charges each participant's meter).
+    caller charges each participant's meter).  ``resolve`` over a level of
+    more than :data:`~repro.core.npsupport.LARGE_LEVEL_ELEMENTS` codes
+    ranks the default and *codes* one by one in scratch buffers
+    (:func:`~repro.core.npsupport.window_top`); *codes* are the non-default
+    codes the stacks can hold (:func:`~repro.core.npsupport.stack_codes`).
 
     With *bottom* — the :class:`~repro.core.fault_masking.ChildCounts` of a
     leaf level below the stored ones, never gathered — the deepest stored
     level takes that leaf level's vote, and ``levels`` ends with ``None``
     in place of the leaves.
     """
-    from .npsupport import (LARGE_LEVEL_ELEMENTS, SMALL_KERNEL_ELEMENTS,
-                            VALUE_CODEC, require_numpy, row_blocks, scratch)
+    from .npsupport import (DEFAULT_CODE, LARGE_LEVEL_ELEMENTS,
+                            SMALL_KERNEL_ELEMENTS, VALUE_CODEC, require_numpy,
+                            row_blocks, scratch, window_top)
     np = require_numpy()
     if conversion not in ("resolve", "resolve_prime"):
         raise ValueError(f"unknown conversion function {conversion!r}")
@@ -340,12 +340,18 @@ def batched_resolve_levels(state, conversion: str, t: int, bottom=None):
                                    threshold), dtype=children.dtype)
             continue
         out = np.empty((count, size), dtype=children.dtype)
-        buffer = scratch if children.size > LARGE_LEVEL_ELEMENTS else None
+        large = majority and children.size > LARGE_LEVEL_ELEMENTS
         for start, stop in row_blocks(count, children.shape[1]):
-            out[start:stop] = _vote_level_select(
-                np, children[start:stop].reshape(-1, branch), branch,
-                majority, threshold, num_codes, children.dtype,
-                buffer).reshape(-1, size)
+            windows = children[start:stop].reshape(-1, branch)
+            if large:
+                best, best_count = window_top(windows, codes, scratch)
+                votes = np.where(best_count > branch // 2, best,
+                                 DEFAULT_CODE)
+            else:
+                votes = _vote_level_select(np, windows, branch, majority,
+                                           threshold, num_codes,
+                                           children.dtype)
+            out[start:stop] = votes.reshape(-1, size)
         levels[level - 1] = out
     return levels, charge
 

@@ -408,6 +408,12 @@ class _BatchedRun:
             self._domain_mask = self.codec.domain_mask(self.domain_set)
         return self._domain_mask
 
+    def stack_codes(self, bottom: bool = False) -> List[int]:
+        """The non-default codes the run's level stacks can hold, with
+        ``⊥``'s if *bottom* (:func:`~repro.core.npsupport.stack_codes`)."""
+        from ..core.npsupport import stack_codes
+        return stack_codes(self.domain_mask(), bottom)
+
     def claim_shadow(self, pid: ProcessorId,
                      config) -> Optional[_ShadowProcessor]:
         """The row-backed shadow for *pid*, once; ``None`` → use the real spec."""
@@ -639,7 +645,8 @@ class _BatchedRun:
     def _decide_c(self) -> None:
         """``shift_{2→1}``: every row decides ``resolve(s)``."""
         levels, charge = batched_resolve_levels(self.state, "resolve",
-                                                self.config.t)
+                                                self.config.t,
+                                                self.stack_codes())
         roots = levels[0][:, 0]
         for i in range(self.main_count):
             self.meters[i].charge(charge + 1)  # + reset_to_root's store
@@ -761,7 +768,8 @@ class _BatchedRun:
         if self.enable_fault_discovery:
             newly = discover_and_mask_batched(self.state, level,
                                               self.trackers, round_number,
-                                              self.meters, counts=counts)
+                                              self.meters, self.stack_codes(),
+                                              counts=counts)
             for i in range(self.main_count):
                 if newly[i]:
                     log = self.discovery_logs[i]
@@ -804,14 +812,17 @@ class _BatchedRun:
         from ..core.npsupport import BOTTOM_CODE, DEFAULT_CODE
         t = self.config.t
         levels, charge = batched_resolve_levels(self.state, segment.conversion,
-                                                t, bottom=counts)
+                                                t, self.stack_codes(),
+                                                bottom=counts)
         for i in range(self.main_count):
             self.meters[i].charge(charge)
         if segment.conversion_discovery and self.enable_fault_discovery:
             fresh_sets = discover_during_conversion_batched(
                 self.index, levels, len(levels),
                 [tracker.suspects for tracker in self.trackers], t,
-                self.meters, bottom=counts)
+                self.meters,
+                self.stack_codes(segment.conversion == "resolve_prime"),
+                bottom=counts)
             for i, fresh in enumerate(fresh_sets):
                 added = self.trackers[i].add_all(fresh, round_number)
                 if added and i < self.main_count:

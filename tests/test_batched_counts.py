@@ -298,3 +298,38 @@ def test_a_finished_run_is_freed_without_the_cycle_collector(monkeypatch):
         assert runners[0]() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("label, spec_factory, n, t", COUNTED_CASES)
+def test_large_forms_rank_only_the_run_codes(label, spec_factory, n, t):
+    """After wider requests grew the process-wide codec, the large-level
+    forms still rank only the run's domain codes (and ``⊥`` in a
+    ``resolve'`` vote), and decide as the per-processor engine does."""
+    for k in range(6):
+        npsupport.VALUE_CODEC.code(f"wide-domain-value-{k}")
+    config = ProtocolConfig(n=n, t=t, initial_value=1, engine="batched")
+    faulty = choose_faulty(n, t, source_faulty=True)
+    name = "equivocating-source-allies"
+    expected = _per_processor(spec_factory(), config, faulty,
+                              build_adversary(name), 2)
+    possible = {npsupport.VALUE_CODEC.code(value)
+                for value in config.domain} | {npsupport.BOTTOM_CODE}
+    ranked = []
+    real_code_counts = npsupport._code_counts
+
+    def recording_code_counts(windows, codes, buffer):
+        ranked.append(list(codes))
+        return real_code_counts(windows, codes, buffer)
+
+    with counting_small_levels(), large_level_forms(), \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(npsupport, "_code_counts", recording_code_counts)
+        batched = run_batched_if_supported(spec_factory(), config, faulty,
+                                           build_adversary(name), 2)
+    _assert_identical(batched, expected, label)
+    assert ranked, "no level was ranked code by code"
+    assert all(set(codes) <= possible for codes in ranked), ranked
+    # A and the hybrid's A phase discover during a resolve' conversion,
+    # whose votes may hold ⊥: those stacks rank it too.
+    assert any(npsupport.BOTTOM_CODE in codes for codes in ranked) == (
+        label in ("algorithm-a", "hybrid")), ranked

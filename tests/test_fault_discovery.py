@@ -181,7 +181,8 @@ class TestChildCountsMatchStackKernels:
         from repro.core.fault_masking import (ChildCounts,
                                               gather_level_batched)
         from repro.core.npsupport import (DEFAULT_CODE, MISSING_CODE,
-                                          VALUE_CODEC, BatchedEIGState)
+                                          VALUE_CODEC, BatchedEIGState,
+                                          stack_codes)
         from repro.core.resolve import _vote_level_select
         from repro.core.sequences import sequence_index
 
@@ -239,7 +240,7 @@ class TestChildCountsMatchStackKernels:
         def assert_same_decisions():
             triggers = batched_window_triggers(
                 stack, parents, branch, slots, suspect_sets,
-                np.asarray(budgets, dtype=np.int64), len(VALUE_CODEC))
+                np.asarray(budgets, dtype=np.int64), stack_codes(domain_mask))
             # Every window's trigger, then the first fired ranks both
             # sources reduce those triggers to.
             assert (counts.window_triggers(range(rows), suspect_sets, budgets)
@@ -472,7 +473,7 @@ class TestFirstFiredScan:
         from repro.core.fault_discovery import (_first_fired_python,
                                                 batched_window_triggers,
                                                 first_fired_ranks)
-        from repro.core.npsupport import VALUE_CODEC
+        from repro.core.npsupport import VALUE_CODEC, stack_codes
         n, parent_level, index = self._draw_level(data)
         child_level = parent_level + 1
         parents = index.level_size(parent_level)
@@ -491,7 +492,7 @@ class TestFirstFiredScan:
         triggers = batched_window_triggers(
             stack, parents, branch, index.slots_np(child_level),
             suspect_sets, np.asarray(budgets, dtype=np.int64),
-            len(VALUE_CODEC))
+            stack_codes(VALUE_CODEC.domain_mask(frozenset({0, 1, 2}))))
         assert _first_fired_python(
             stack.tolist(), parents, branch, index.last_labels(parent_level),
             index.last_labels(child_level), groups, suspect_sets,
@@ -511,3 +512,56 @@ class TestFirstFiredScan:
         groups = index.label_groups(3)
         assert groups.labels == [1, 2, 3, 4] and groups.size == 3
         assert groups.column[0] is None
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+class TestLargeLevelRanking:
+    """A large level ranks only the codes its stack can hold.
+
+    The codec is process-wide and append-only, so in a long-lived process
+    it holds every value any earlier request interned.  The code-by-code
+    ranking of a large level must still pick what ``argmax`` over the full
+    tallies picks, from the run's codes alone.
+    """
+
+    #: Values no run's domain holds, interned as an earlier wide-domain
+    #: request would have.
+    FOREIGN = tuple(f"earlier-request-{k}" for k in range(6))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_window_top_matches_tally_argmax(self, data):
+        import numpy as np
+
+        from repro.core.npsupport import (BOTTOM_CODE, DEFAULT_CODE,
+                                          VALUE_CODEC, scratch, stack_codes,
+                                          window_tallies, window_top)
+        for value in self.FOREIGN:
+            VALUE_CODEC.code(value)
+        domain = (0, 1, 2)[:data.draw(st.integers(1, 3), label="values")]
+        bottom = data.draw(st.booleans(), label="bottom")
+        codes = stack_codes(VALUE_CODEC.domain_mask(frozenset(domain)),
+                            bottom)
+        assert DEFAULT_CODE not in codes and codes == sorted(codes)
+        assert (BOTTOM_CODE in codes) == bottom
+        branch = data.draw(st.integers(1, 9), label="branch")
+        rows = data.draw(st.integers(1, 12), label="rows")
+        windows = np.asarray(
+            data.draw(st.lists(st.sampled_from([DEFAULT_CODE] + codes),
+                               min_size=rows * branch,
+                               max_size=rows * branch)),
+            dtype="int32").reshape(rows, branch)
+        tallies = window_tallies(windows, len(VALUE_CODEC))
+        best, best_count = window_top(windows, codes, scratch)
+        assert best.tolist() == tallies.argmax(axis=1).tolist()
+        assert best_count.tolist() == tallies.max(axis=1).tolist()
+
+    def test_stack_codes_leave_out_codes_other_requests_interned(self):
+        from repro.core.npsupport import (BOTTOM_CODE, VALUE_CODEC,
+                                          stack_codes)
+        for value in self.FOREIGN:
+            VALUE_CODEC.code(value)
+        mask = VALUE_CODEC.domain_mask(frozenset({0, 1}))
+        assert stack_codes(mask) == [VALUE_CODEC.code(1)]
+        assert stack_codes(mask, bottom=True) == sorted(
+            [BOTTOM_CODE, VALUE_CODEC.code(1)])

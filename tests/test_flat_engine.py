@@ -553,7 +553,8 @@ class TestBatchedRunEquivalence:
         level views, and the per-processor conversion kernel over the row
         tree must match the whole-run conversion's row.
         """
-        from repro.core.npsupport import BatchedEIGState, VALUE_CODEC
+        from repro.core.npsupport import (BatchedEIGState, VALUE_CODEC,
+                                          stack_codes)
         from repro.core.resolve import batched_resolve_levels
         from repro.core.sequences import sequence_index
         import numpy as np
@@ -577,7 +578,9 @@ class TestBatchedRunEquivalence:
                   for node_id in range(size)] for i in range(count)],
                 dtype="int32"))
 
-        batched_levels, _charge = batched_resolve_levels(state, "resolve", t)
+        batched_levels, _charge = batched_resolve_levels(
+            state, "resolve", t,
+            stack_codes(VALUE_CODEC.domain_mask(frozenset({0, 1}))))
         for i in range(count):
             tree = state.row_tree(i)
             for level in range(1, height + 1):
@@ -597,7 +600,8 @@ class TestBatchedRunEquivalence:
         step in blocks of two leaf rows; each converted row must equal the
         per-processor conversion of that row alone.
         """
-        from repro.core.npsupport import BatchedEIGState, VALUE_CODEC
+        from repro.core.npsupport import (BatchedEIGState, VALUE_CODEC,
+                                          stack_codes)
         from repro.core.resolve import batched_resolve_levels
         from repro.core.sequences import sequence_index
         import numpy as np
@@ -614,7 +618,8 @@ class TestBatchedRunEquivalence:
                 codes, size=(count, index.level_size(level))))
         with forced_row_blocks(count, index.level_size(height)) as seen:
             batched_levels, _charge = batched_resolve_levels(
-                state, conversion, t)
+                state, conversion, t,
+                stack_codes(VALUE_CODEC.domain_mask(frozenset(range(3)))))
         assert stepped_uneven_blocks(seen), seen
         assert_rows_convert_alone(state, batched_levels, conversion, t)
 
