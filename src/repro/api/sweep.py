@@ -1,37 +1,28 @@
-"""Durable sweeps: streaming execution with a JSONL checkpoint log.
+"""Durable sweeps: streaming execution with a checkpoint log.
 
 A sweep of hundreds of agreement runs should survive a crash without
 re-running what already finished.  :func:`iter_sweep` streams a
 :class:`~repro.api.request.SweepSpec` through an executor and, when given a
-checkpoint path, appends one JSON line per completed request **as it
-finishes** (flushed immediately, so a killed process loses at most the run
-in flight).  ``resume=True`` replays the log first: completed requests are
-yielded from the log and skipped by the executor, and the merged report set
-equals an uninterrupted run — exactly, when the sweep's seed policy is
-``"derive"`` (per-request seeds are positional, not stateful).
+checkpoint path, appends one completion per request **as it finishes**, so a
+killed process loses at most the runs in flight.  ``resume=True`` replays
+the log first: completed requests are yielded from the log and skipped by
+the executor, and the merged report set equals an uninterrupted run —
+exactly, when the sweep's seed policy is ``"derive"`` (per-request seeds
+are positional, not stateful).
 
-Checkpoint format (one JSON object per line)::
+The checkpoint is a :class:`~repro.api.durable.DurableLog` — header, torn
+tail, resume repair, compaction and named errors are described there —
+whose header pins the sweep's canonical SHA-256 (:func:`sweep_digest`)::
 
     {"kind": "repro-sweep-checkpoint", "version": 1,
      "total": 12, "sweep_sha256": "..."}          # header line
-    {"index": 0, "report": { ...RunReport... }}   # one line per completion
-    {"index": 3, "report": { ... }}               # completion order, not
-    ...                                           # submission order
+    {"index": 0, "report": { ...RunReport... }}   # one line per completion,
+    {"index": 3, "report": { ... }}               # in completion order
 
-The header pins the sweep's canonical SHA-256
-(:func:`sweep_digest`), so resuming against a *different* sweep — edited
-requests, another executor, a changed seed policy — fails loudly instead of
-merging unrelated results.  A truncated final line (the crash happened
-mid-write) is ignored; an unparseable line anywhere *earlier* is corruption
-and refused.  A request checkpointed twice (e.g. a retried cell) resolves
-last-write-wins, matching append order.
-
-Durability: headers are created **atomically** (written to a temp file and
-renamed into place), so a crash during creation leaves no torn header;
-completion appends retry transient I/O failures a bounded number of times,
-truncating any torn tail before each retry and recording the recovery in the
-report's ``metadata["resilience"]``; ``fsync=True`` upgrades the
-flush-per-line default to fsync-per-line for power-loss durability.
+A request checkpointed twice (e.g. a retried cell) resolves last-write-wins
+and is counted as a duplicate.  A failed append is retried a bounded number
+of times, and the recovery recorded in the report's
+``metadata["resilience"]``.
 """
 
 from __future__ import annotations
@@ -39,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -47,12 +37,15 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from ..runtime.chaos import chaos_scope, current_chaos
 from ..runtime.errors import CheckpointWriteError, ConfigurationError
 from ..runtime.supervision import RetryPolicy, checkpoint_retry_event
+from .durable import DurableLog, LogFormat
 from .executors import ExecutorSpec, resolve_executor
-from .jsonl import rewrite_jsonl, scan_jsonl
 from .request import RunReport, SweepSpec
 
 CHECKPOINT_KIND = "repro-sweep-checkpoint"
 CHECKPOINT_VERSION = 1
+_FORMAT = LogFormat(CHECKPOINT_KIND, CHECKPOINT_VERSION,
+                    name="a sweep checkpoint", entry="completion",
+                    subject="sweep")
 
 logger = logging.getLogger("repro.sweep")
 
@@ -67,6 +60,13 @@ def sweep_digest(spec: SweepSpec) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _checkpoint(path: str, spec: SweepSpec, fsync: bool = False
+                ) -> DurableLog:
+    return DurableLog(path, _FORMAT,
+                      {"sweep_sha256": sweep_digest(spec),
+                       "total": len(spec.requests)}, fsync)
+
+
 @dataclass
 class CheckpointScan:
     """What a checkpoint log actually holds: completions plus its health.
@@ -75,7 +75,8 @@ class CheckpointScan:
     checkpointed more than once means it *executed* more than once (a
     retried cell, or two sweeps appending to one log), which last-write-wins
     used to mask silently.  ``torn_tail`` records a truncated final line
-    (crash mid-write), repaired away by :func:`compact_checkpoint`.
+    (crash mid-write), repaired away by :func:`compact_checkpoint` or by the
+    next resume.
     """
 
     completed: Dict[int, RunReport] = field(default_factory=dict)
@@ -86,71 +87,27 @@ class CheckpointScan:
     events: List[Dict[str, Any]] = field(default_factory=list)
 
 
-def _read_checkpoint_header(path: str, lines: List[str],
-                            spec: SweepSpec) -> None:
-    """Validate the header line of a checkpoint against *spec*, loudly."""
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError:
-        if len(lines) == 1:
-            # Headers are created atomically (temp file + rename), so a
-            # lone unparseable line means the file predates that scheme and
-            # a crash tore its creation — there is nothing to resume.
-            raise ConfigurationError(
-                f"{path} has a torn header line and no completions — "
-                f"likely a crash while the checkpoint was being created; "
-                f"delete the file to start the sweep fresh")
-        raise ConfigurationError(
-            f"{path} is not a sweep checkpoint (unreadable header line)")
-    if not isinstance(header, dict) or header.get("kind") != CHECKPOINT_KIND:
-        raise ConfigurationError(
-            f"{path} is not a sweep checkpoint (expected a "
-            f"{CHECKPOINT_KIND!r} header)")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise ConfigurationError(
-            f"{path} is a version {header.get('version')} checkpoint; this "
-            f"build reads version {CHECKPOINT_VERSION}")
-    digest = sweep_digest(spec)
-    if header.get("sweep_sha256") != digest:
-        raise ConfigurationError(
-            f"{path} was recorded for a different sweep "
-            f"(checkpoint {str(header.get('sweep_sha256'))[:12]}…, this "
-            f"sweep {digest[:12]}…); refusing to merge unrelated results")
-
-
 def scan_checkpoint(path: str, spec: SweepSpec) -> CheckpointScan:
     """Read a checkpoint log in full: completions, duplicates, torn tail.
 
-    Validates the header against *spec* (kind, version, sweep digest) and
-    tolerates a truncated final line.  An empty or missing file reads as no
+    The header must pin *spec*.  An empty or missing file reads as no
     completions.  Every anomaly — a superseded duplicate completion, a torn
     tail — is logged as a structured warning and recorded on the returned
     :class:`CheckpointScan`, so replay paths (``--resume``, the serve
     journal) surface double execution instead of silently masking it.
     """
-    scan = CheckpointScan()
-    if not os.path.exists(path):
-        return scan
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        return scan
-    _read_checkpoint_header(path, lines, spec)
-    body = scan_jsonl(path, lines[1:], first_line=2,
-                      description="checkpoint")
-    scan.torn_tail = body.torn_tail
     total = len(spec.requests)
-    for line_number, entry in body.entries:
-        if not isinstance(entry, dict) or not isinstance(
-                entry.get("report"), dict):
-            raise ConfigurationError(
-                f"{path} has a malformed completion line (expected an "
-                f"object with \"index\" and \"report\"): line {line_number}")
-        index = entry.get("index")
+
+    def decode(entry):
+        index = entry["index"]
         if not isinstance(index, int) or not 0 <= index < total:
-            raise ConfigurationError(
-                f"{path} names request index {index!r}, outside this "
-                f"sweep's 0..{total - 1}")
+            raise ValueError(f"request index {index!r} is outside this "
+                             f"sweep's 0..{total - 1}")
+        return index, RunReport.from_dict(entry["report"])
+
+    body = _checkpoint(path, spec).scan(decode)
+    scan = CheckpointScan(torn_tail=body.torn_tail)
+    for line_number, (index, report) in body.entries:
         if index in scan.completed:
             scan.duplicates += 1
             event = {"event": "duplicate-completion", "index": index,
@@ -161,7 +118,7 @@ def scan_checkpoint(path: str, spec: SweepSpec) -> CheckpointScan:
                 "(line %d supersedes an earlier completion) — the request "
                 "was executed at least twice; last write wins: %s",
                 path, index, line_number, event)
-        scan.completed[index] = RunReport.from_dict(entry["report"])
+        scan.completed[index] = report
     if scan.torn_tail:
         event = {"event": "torn-tail", "path": path}
         scan.events.append(event)
@@ -185,92 +142,47 @@ def compact_checkpoint(path: str, spec: SweepSpec) -> Dict[str, Any]:
     """Rewrite a checkpoint dropping superseded duplicates and any torn tail.
 
     The log keeps one line per completed request (the latest), ordered by
-    index, under a fresh header — rewritten atomically so a crash during
-    compaction leaves the original intact.  Returns a summary:
+    index, under a fresh header.  Returns a summary:
     ``{"completed": n, "duplicates_dropped": n, "torn_tail_repaired": bool}``.
-    A missing or empty checkpoint compacts to nothing and returns zeros.
+    A clean, missing or empty checkpoint is left as it is.
     """
     scan = scan_checkpoint(path, spec)
-    stats = {"completed": len(scan.completed),
-             "duplicates_dropped": scan.duplicates,
-             "torn_tail_repaired": scan.torn_tail}
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
-        return stats
     if scan.duplicates or scan.torn_tail:
-        rewrite_jsonl(
-            path,
-            {"kind": CHECKPOINT_KIND, "version": CHECKPOINT_VERSION,
-             "total": len(spec.requests), "sweep_sha256": sweep_digest(spec)},
-            ({"index": index, "report": scan.completed[index].to_dict()}
-             for index in sorted(scan.completed)))
-    return stats
+        _checkpoint(path, spec).compact(
+            {"index": index, "report": scan.completed[index].to_dict()}
+            for index in sorted(scan.completed))
+    return {"completed": len(scan.completed),
+            "duplicates_dropped": scan.duplicates,
+            "torn_tail_repaired": scan.torn_tail}
 
 
-def _write_header(handle, spec: SweepSpec, fsync: bool = False) -> None:
-    handle.write(json.dumps({
-        "kind": CHECKPOINT_KIND,
-        "version": CHECKPOINT_VERSION,
-        "total": len(spec.requests),
-        "sweep_sha256": sweep_digest(spec),
-    }, sort_keys=True) + "\n")
-    handle.flush()
-    if fsync:
-        os.fsync(handle.fileno())
+def _append_completion(log: DurableLog, index: int, report: RunReport,
+                       write_counter: int) -> None:
+    """Append one completion line, retrying failed appends bounded times.
 
-
-def _create_checkpoint(path: str, spec: SweepSpec, fsync: bool) -> None:
-    """Create a fresh checkpoint atomically: header to a temp file, then rename.
-
-    A crash anywhere before the :func:`os.replace` leaves no file at *path*
-    (only a stray temp file), never a torn header — so a later resume cannot
-    mistake a half-written header for corruption.
-    """
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            _write_header(handle, spec, fsync=fsync)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _append_completion(log, path: str, index: int, report: RunReport,
-                       fsync: bool, write_counter: int) -> None:
-    """Append one completion line, retrying transient failures bounded times.
-
-    Before each retry the torn tail of the failed write is truncated away
-    (the offset was captured up front), so the log never accumulates partial
-    lines, and a :func:`checkpoint_retry_event` is recorded on the report's
-    ``metadata["resilience"]`` — which re-serializes into the retried line,
-    making the recovery itself durable.
+    A failed append leaves no partial line behind, and each retry records a
+    :func:`checkpoint_retry_event` on the report's
+    ``metadata["resilience"]`` — which the retried line carries, making the
+    recovery itself durable.
     """
     controller = current_chaos()
-    line = json.dumps({"index": index, "report": report.to_dict()},
-                      sort_keys=True) + "\n"
     for attempt in range(1, _WRITE_RETRY.max_attempts + 1):
-        offset = log.tell()
         try:
             if controller is not None and controller.take(
                     "checkpoint-write", index=write_counter):
                 raise OSError("chaos: simulated checkpoint append failure")
-            log.write(line)
-            log.flush()
-            if fsync:
-                os.fsync(log.fileno())
+            log.append({"index": index, "report": report.to_dict()})
             return
-        except OSError as exc:
-            log.truncate(offset)
+        except (OSError, CheckpointWriteError) as exc:
+            error = exc.__cause__ or exc  # the I/O error under the failure
             if attempt >= _WRITE_RETRY.max_attempts:
                 raise CheckpointWriteError(
-                    f"checkpoint {path} append for request {index} failed "
-                    f"{attempt} times; last error: {exc}") from exc
-            delay = _WRITE_RETRY.delay(f"checkpoint:{path}:{index}", attempt)
+                    f"checkpoint {log.path} append for request {index} "
+                    f"failed {attempt} times; last error: {error}") from exc
+            delay = _WRITE_RETRY.delay(f"checkpoint:{log.path}:{index}",
+                                       attempt)
             report.metadata.setdefault("resilience", []).append(
-                checkpoint_retry_event(attempt, exc, delay))
-            line = json.dumps({"index": index, "report": report.to_dict()},
-                              sort_keys=True) + "\n"
+                checkpoint_retry_event(attempt, error, delay))
             time.sleep(delay)
 
 
@@ -288,7 +200,7 @@ def iter_sweep(spec: SweepSpec, checkpoint: Optional[str] = None,
 
     ``fsync=True`` additionally fsyncs the checkpoint after the header and
     every completion append — durability against power loss, at a per-line
-    syscall cost (the default ``flush`` already survives process death).
+    syscall cost (a written line already survives process death).
     *chaos* optionally activates a :class:`~repro.runtime.chaos.ChaosPolicy`
     (or controller, or plain policy data) for the sweep's duration.
     """
@@ -308,24 +220,11 @@ def iter_sweep(spec: SweepSpec, checkpoint: Optional[str] = None,
                                          dict(spec.executor_params))
     else:
         runner, owned = resolve_executor(executor)
-    log = None
+    log = _checkpoint(checkpoint, spec, fsync) if checkpoint else None
     with chaos_scope(chaos):
         try:
-            if checkpoint:
-                # A zero-byte file is a fresh start too: atomic creation
-                # never leaves one, so it cannot be a record of anything.
-                fresh = (not os.path.exists(checkpoint)
-                         or os.path.getsize(checkpoint) == 0)
-                if not fresh and not resume:
-                    # Never clobber an existing log: it may be the only
-                    # record of a crashed sweep's completed requests.
-                    raise ConfigurationError(
-                        f"checkpoint {checkpoint} already exists; pass "
-                        f"resume=True (repro sweep --resume) to continue it, "
-                        f"or delete the file to start the sweep fresh")
-                if fresh:
-                    _create_checkpoint(checkpoint, spec, fsync)
-                log = open(checkpoint, "a", encoding="utf-8")
+            if log is not None:
+                log.open(resume)
             submitted = {}
             for index, request in remaining:
                 submitted[runner.submit(request)] = index
@@ -333,8 +232,7 @@ def iter_sweep(spec: SweepSpec, checkpoint: Optional[str] = None,
             for ticket, report in runner.iter_reports():
                 index = submitted[ticket]
                 if log is not None:
-                    _append_completion(log, checkpoint, index, report,
-                                       fsync, write_counter)
+                    _append_completion(log, index, report, write_counter)
                     write_counter += 1
                 yield index, report
         finally:

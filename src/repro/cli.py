@@ -14,8 +14,8 @@ Eight subcommands, all built on the :mod:`repro.api` façade:
     stdin) on a chosen executor backend — ``--executor
     {serial,pool,supervised}`` — with optional durability:
     ``--checkpoint out.jsonl`` appends one JSON line per completed request
-    as it finishes (header created atomically; ``--fsync`` upgrades flush
-    to fsync per line), and ``--resume`` replays the log after a crash,
+    as it finishes (header created atomically; ``--fsync`` adds an fsync
+    per line), and ``--resume`` replays the log after a crash,
     skipping what already completed.  The supervised backend
     (``--max-attempts`` / ``--deadline`` imply it) adds worker deadlines,
     seeded retry/backoff, and the batched→pool→serial degradation
@@ -209,8 +209,8 @@ def _parser() -> argparse.ArgumentParser:
                             "skip its completed requests")
     sweep.add_argument("--fsync", action="store_true",
                        help="fsync the checkpoint after every append "
-                            "(power-loss durability; flush-only default "
-                            "survives process death)")
+                            "(power-loss durability; a written line "
+                            "already survives process death)")
     sweep.add_argument("--compact", action="store_true",
                        help="rewrite the --checkpoint log in place — drop "
                             "superseded duplicate completions, repair a "
@@ -248,7 +248,7 @@ def _parser() -> argparse.ArgumentParser:
                             "(default 10)")
     serve.add_argument("--fsync", action="store_true",
                        help="fsync every journal append (power-loss "
-                            "durability; flush-only default survives "
+                            "durability; a written line already survives "
                             "process death)")
     serve.add_argument("--chaos", metavar="POLICY.json", default=None,
                        help="inject service-level infrastructure faults "

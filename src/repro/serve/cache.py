@@ -19,9 +19,9 @@ garbage reads as a miss and is deleted).  Correctness never depends on the
 cache; only latency does.
 
 Disk layout: one ``<digest>.json`` per entry under ``cache_dir``, written
-atomically (temp file + ``os.replace``) on the happy path, so a ``kill -9``
-mid-store leaves either the old state or the new — except under chaos,
-which deliberately leaves the torn file a real crash could.
+atomically (:func:`~repro.api.durable.replace_file`) on the happy path, so
+a ``kill -9`` mid-store leaves either the old state or the new — except
+under chaos, which deliberately leaves the torn file a real crash could.
 
 The footprint is boundable: ``max_entries`` caps the cache at N entries
 with least-recently-used eviction (``get``/``peek``/``put`` all refresh
@@ -40,10 +40,10 @@ import os
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
-from ..runtime.errors import ConfigurationError
-
+from ..api.durable import replace_file
 from ..api.request import RunRequest
 from ..runtime.chaos import current_chaos
+from ..runtime.errors import ConfigurationError
 
 #: Request fields that describe *how* a run executes, not *what* it computes.
 #: Excluded from the cache key so engine choice never fragments the cache.
@@ -184,7 +184,6 @@ class ResultCache:
         store_index = self._stores
         self._stores += 1
         path = self._path(digest)
-        tmp = f"{path}.tmp.{os.getpid()}"
         controller = current_chaos()
         try:
             if controller is not None and controller.take(
@@ -194,17 +193,11 @@ class ResultCache:
                 with open(path, "w", encoding="utf-8") as handle:
                     handle.write(json.dumps(outcome)[:20])
                 raise OSError("chaos: simulated cache store failure")
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(outcome, handle, sort_keys=True)
-            os.replace(tmp, path)
+            replace_file(path, [json.dumps(outcome, sort_keys=True)
+                                .encode("utf-8")])
             return True
         except OSError:
             self.write_failures += 1
-            if os.path.exists(tmp):
-                try:
-                    os.unlink(tmp)
-                except OSError:  # pragma: no cover - best-effort cleanup
-                    pass
             return False
 
     def warm(self, digest: str, outcome: Dict[str, Any]) -> None:

@@ -3,11 +3,11 @@
 Self-stabilization (Dolev; Dijkstra's stabilizing token rings in
 unsupportive environments) sets the design bar for the serving layer: the
 service must *converge back* to a correct state from any crash point, not
-merely avoid crashing.  The mechanism is write-ahead journaling in the same
-crash-tolerant JSONL discipline as the sweep checkpoint
-(:mod:`repro.api.jsonl`): every admitted request is appended as an
-``accepted`` entry **before** it executes, and every finished run as a
-``completed`` entry, each line flushed immediately::
+merely avoid crashing.  The mechanism is write-ahead journaling on a
+:class:`~repro.api.durable.DurableLog` — header, torn tail, resume repair,
+compaction and named errors are described there.  Every admitted request is
+appended as an ``accepted`` entry **before** it executes, and every finished
+run as a ``completed`` entry::
 
     {"kind": "repro-serve-journal", "version": 1}        # atomic header
     {"event": "accepted", "id": "<digest>", "request": { ...RunRequest... }}
@@ -17,11 +17,10 @@ After a ``kill -9``, :meth:`ServeJournal.replay` reconstructs exactly where
 the service was: ``completed`` entries warm-start the result cache
 (identical queries become cache hits, no re-execution), ``accepted``
 entries with no completion re-enqueue (runs are deterministic in
-``(request, seed)``, so re-execution serves byte-identical outcomes), a
-torn final line — the append the crash interrupted — is tolerated and
-repaired by compaction, and duplicate completions are surfaced as a
-``duplicates`` count (the same double-execution accounting as
-:func:`repro.api.sweep.scan_checkpoint`) instead of being silently merged.
+``(request, seed)``, so re-execution serves byte-identical outcomes), and
+duplicate completions are surfaced as a ``duplicates`` count (the same
+double-execution accounting as :func:`repro.api.sweep.scan_checkpoint`)
+instead of being silently merged.
 
 Journal appends are deliberately **fail-stop**: a failed append raises
 :class:`~repro.runtime.errors.CheckpointWriteError` so the service degrades
@@ -32,19 +31,19 @@ disk and the writer dies mid-append.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..api.jsonl import rewrite_jsonl, scan_jsonl
+from ..api.durable import DurableLog, LogFormat
 from ..api.request import RunRequest
 from ..runtime.chaos import current_chaos
-from ..runtime.errors import CheckpointWriteError, ConfigurationError
 
 JOURNAL_KIND = "repro-serve-journal"
 JOURNAL_VERSION = 1
+_FORMAT = LogFormat(JOURNAL_KIND, JOURNAL_VERSION, name="a serve journal",
+                    entry="journal")
 
 
 @dataclass
@@ -71,93 +70,59 @@ class JournalReplay:
                 "torn_tail": self.torn_tail}
 
 
-def _parse_journal(path: str) -> "JournalReplay":
-    """Scan *path* into a :class:`JournalReplay` (no file means empty)."""
-    replay = JournalReplay()
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
-        return replay
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError:
-        if len(lines) == 1:
-            raise ConfigurationError(
-                f"{path} has a torn header line and no entries — likely a "
-                f"crash while the journal was being created; delete the "
-                f"file to start fresh")
-        raise ConfigurationError(
-            f"{path} is not a serve journal (unreadable header line)")
-    if not isinstance(header, dict) or header.get("kind") != JOURNAL_KIND:
-        raise ConfigurationError(
-            f"{path} is not a serve journal (expected a {JOURNAL_KIND!r} "
-            f"header)")
-    if header.get("version") != JOURNAL_VERSION:
-        raise ConfigurationError(
-            f"{path} is a version {header.get('version')} journal; this "
-            f"build reads version {JOURNAL_VERSION}")
-    scan = scan_jsonl(path, lines[1:], first_line=2, description="journal")
-    replay.torn_tail = scan.torn_tail
-    accepted: Dict[str, RunRequest] = {}
-    order: List[str] = []
-    for line_number, entry in scan.entries:
-        if not isinstance(entry, dict) or not isinstance(
-                entry.get("id"), str):
-            raise ConfigurationError(
-                f"{path} has a malformed journal line (expected an object "
-                f"with \"event\" and \"id\"): line {line_number}")
-        event, digest = entry.get("event"), entry["id"]
-        if event == "accepted":
-            if not isinstance(entry.get("request"), dict):
-                raise ConfigurationError(
-                    f"{path} line {line_number}: an accepted entry needs a "
-                    f"\"request\" object")
-            if digest not in accepted:
-                order.append(digest)
-            accepted[digest] = RunRequest.from_dict(entry["request"])
-        elif event == "completed":
-            if not isinstance(entry.get("outcome"), dict):
-                raise ConfigurationError(
-                    f"{path} line {line_number}: a completed entry needs an "
-                    f"\"outcome\" object")
-            if digest in replay.completed:
-                replay.duplicates += 1
-                replay.events.append(
-                    {"event": "duplicate-completion", "id": digest,
-                     "line": line_number, "path": path})
-            replay.completed[digest] = entry["outcome"]
-        else:
-            raise ConfigurationError(
-                f"{path} line {line_number} has unknown journal event "
-                f"{event!r} (expected \"accepted\" or \"completed\")")
-    if replay.torn_tail:
-        replay.events.append({"event": "torn-tail", "path": path})
-    replay.pending = [(digest, accepted[digest]) for digest in order
-                      if digest not in replay.completed]
-    return replay
+def _decode(entry) -> Tuple[str, str, Any]:
+    """One journal line as ``(event, id, request or outcome)``."""
+    event, digest = entry["event"], entry["id"]
+    if not isinstance(digest, str):
+        raise TypeError(f"journal id {digest!r} is not a string")
+    if event == "accepted":
+        return event, digest, RunRequest.from_dict(entry["request"])
+    if event == "completed":
+        if not isinstance(entry["outcome"], dict):
+            raise TypeError("a completed entry needs an \"outcome\" object")
+        return event, digest, entry["outcome"]
+    raise ValueError(f"unknown journal event {event!r} (expected "
+                     f"\"accepted\" or \"completed\")")
 
 
 class ServeJournal:
     """Append-only durable intent log for the agreement service.
 
     Thread-safe: admission appends from the event loop while workers append
-    completions, so every write holds one lock.  The header is created
-    atomically on first open (temp file + rename), matching the sweep
-    checkpoint's discipline, and existing journals are re-opened for append
-    after :meth:`replay` has consumed them.
+    completions, so every write holds one lock.  :meth:`open` continues an
+    existing journal (its torn tail cut away) or creates a fresh one.
     """
 
     def __init__(self, path: str, fsync: bool = False) -> None:
         self.path = path
         self.fsync = fsync
         self._lock = threading.Lock()
-        self._handle = None
+        self._log = DurableLog(path, _FORMAT, fsync=fsync)
         self._writes = 0
 
     # -- recovery ------------------------------------------------------------
     def replay(self) -> JournalReplay:
-        """Read the journal back; call before :meth:`open` on restart."""
-        return _parse_journal(self.path)
+        """Read the journal back (a missing file replays as empty)."""
+        body = self._log.scan(_decode)
+        replay = JournalReplay(torn_tail=body.torn_tail)
+        # Acceptance order, latest request per id.
+        accepted: Dict[str, RunRequest] = {}
+        for line_number, (event, digest, payload) in body.entries:
+            if event == "accepted":
+                accepted[digest] = payload
+                continue
+            if digest in replay.completed:
+                replay.duplicates += 1
+                replay.events.append(
+                    {"event": "duplicate-completion", "id": digest,
+                     "line": line_number, "path": self.path})
+            replay.completed[digest] = payload
+        if replay.torn_tail:
+            replay.events.append({"event": "torn-tail", "path": self.path})
+        replay.pending = [(digest, request)
+                          for digest, request in accepted.items()
+                          if digest not in replay.completed]
+        return replay
 
     def compact(self, replay: Optional[JournalReplay] = None
                 ) -> Dict[str, Any]:
@@ -166,84 +131,41 @@ class ServeJournal:
         Keeps one ``accepted`` line per still-pending request and one
         ``completed`` line per finished one (acceptance entries for
         completed requests are superseded by their completion and dropped).
-        Atomic, like checkpoint compaction.  Returns the replay summary.
+        A missing journal stays missing.  Returns the replay summary.
         """
         with self._lock:
-            if self._handle is not None:
-                raise ConfigurationError(
-                    "compact the journal before opening it for append")
             state = replay if replay is not None else self.replay()
             if os.path.exists(self.path):
-                entries: List[Dict[str, Any]] = []
-                for digest, request in state.pending:
-                    entries.append({"event": "accepted", "id": digest,
-                                    "request": request.to_dict()})
-                for digest in sorted(state.completed):
-                    entries.append({"event": "completed", "id": digest,
-                                    "outcome": state.completed[digest]})
-                rewrite_jsonl(self.path,
-                              {"kind": JOURNAL_KIND,
-                               "version": JOURNAL_VERSION}, entries)
+                self._log.compact(
+                    [{"event": "accepted", "id": digest,
+                      "request": request.to_dict()}
+                     for digest, request in state.pending]
+                    + [{"event": "completed", "id": digest,
+                        "outcome": state.completed[digest]}
+                       for digest in sorted(state.completed)])
             return state.summary()
 
     # -- appending -----------------------------------------------------------
     def open(self) -> None:
         with self._lock:
-            if self._handle is not None:
-                return
-            fresh = (not os.path.exists(self.path)
-                     or os.path.getsize(self.path) == 0)
-            if fresh:
-                tmp = f"{self.path}.tmp.{os.getpid()}"
-                try:
-                    with open(tmp, "w", encoding="utf-8") as handle:
-                        handle.write(json.dumps(
-                            {"kind": JOURNAL_KIND,
-                             "version": JOURNAL_VERSION},
-                            sort_keys=True) + "\n")
-                        handle.flush()
-                        if self.fsync:
-                            os.fsync(handle.fileno())
-                    os.replace(tmp, self.path)
-                except BaseException:
-                    if os.path.exists(tmp):
-                        os.unlink(tmp)
-                    raise
-            self._handle = open(self.path, "a", encoding="utf-8")
+            self._log.open(resume=True)
 
     def close(self) -> None:
         with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+            self._log.close()
 
     def _append(self, entry: Dict[str, Any]) -> None:
-        line = json.dumps(entry, sort_keys=True) + "\n"
+        # Fail-stop by design: a failed append raises, and the service must
+        # not keep accepting work it cannot make durable.  Recovery is the
+        # replay.
         with self._lock:
-            if self._handle is None:
-                raise ConfigurationError(
-                    "the serve journal is not open for append")
             write_index = self._writes
             self._writes += 1
             controller = current_chaos()
-            try:
-                if controller is not None and controller.take(
-                        "journal-write", index=write_index):
-                    # A torn write IS the fault: leave the partial line on
-                    # disk (what a kill -9 mid-write leaves) and die loudly.
-                    self._handle.write(line[:max(1, len(line) // 2)])
-                    self._handle.flush()
-                    raise OSError("chaos: simulated torn journal append")
-                self._handle.write(line)
-                self._handle.flush()
-                if self.fsync:
-                    os.fsync(self._handle.fileno())
-            except OSError as exc:
-                # Fail-stop by design: the service must not keep accepting
-                # work it cannot make durable.  Recovery is the replay.
-                raise CheckpointWriteError(
-                    f"serve journal {self.path} append failed for "
-                    f"{entry.get('id', '?')[:12]}…: {exc}") from exc
+            if controller is not None and controller.take(
+                    "journal-write", index=write_index):
+                self._log.tear(entry)
+            self._log.append(entry)
 
     def accepted(self, digest: str, request: RunRequest) -> None:
         """Journal an admitted request — called **before** it executes."""

@@ -117,8 +117,8 @@ class AgreementService:
             self.last_recovery = {}
             return {}
         replay = self.journal.replay()
-        # Compaction before reopening is load-bearing: appending after a
-        # torn tail would concatenate onto the partial line and corrupt it.
+        # Compaction keeps the journal from growing across restarts:
+        # superseded acceptances, duplicate completions and any torn tail go.
         self.journal.compact(replay)
         self.journal.open()
         for digest, outcome in replay.completed.items():

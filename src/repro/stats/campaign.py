@@ -11,39 +11,34 @@ Determinism is what makes crash recovery exact.  Executor backends complete
 out of order, but each chunk is aggregated *after* it drains, sorted by
 global trial index — so the fold order is a pure function of the spec, and
 the cumulative state after chunk *c* is too.  The checkpoint exploits that:
-one JSONL line per completed chunk carrying the **entire cumulative state**
-(a few KB — aggregates are constant-space), under a header that pins
-:func:`~.spec.mc_digest`.  Resume reads the last intact state line and
-continues from the next chunk; because per-trial seeds are positional
-(:func:`~repro.api.request.derive_seed`) and aggregator serialization is
-IEEE-754-exact, a killed-and-resumed campaign finishes **bit-identical** to
-an uninterrupted one — the property ``tests/test_mc.py`` pins with a real
-``SIGKILL``.
-
-Checkpoint format (one JSON object per line)::
+it is a :class:`~repro.api.durable.DurableLog` (header, torn tail, resume
+repair and named errors are described there) whose header pins
+:func:`~.spec.mc_digest`, with one line per completed chunk carrying the
+**entire cumulative state** (a few KB — aggregates are constant-space)::
 
     {"kind": "repro-mc-checkpoint", "version": 1,
-     "total_trials": 1000000, "mc_sha256": "..."}   # header (atomic create)
+     "total_trials": 1000000, "mc_sha256": "..."}   # header
     {"chunk": 0, "trials_done": 256, "state": {...}}  # cumulative snapshots
     {"chunk": 1, "trials_done": 512, "state": {...}}
     ...
 
-The reading discipline is the shared one of :mod:`repro.api.jsonl`: a torn
-final line is a crash artifact and is ignored; earlier corruption is
-refused; a header for a *different* campaign is refused.
+The latest snapshot wins: resume continues from the chunk after it.
+Because per-trial seeds are positional
+(:func:`~repro.api.request.derive_seed`) and aggregator serialization is
+IEEE-754-exact, a killed-and-resumed campaign finishes **bit-identical** to
+an uninterrupted one — the property ``tests/test_mc.py`` pins with a real
+``SIGKILL``.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from ..api.durable import DurableLog, LogFormat
 from ..api.executors import ExecutorSpec, resolve_executor
-from ..api.jsonl import scan_jsonl
 from ..api.request import RunReport
 from ..runtime.errors import ConfigurationError
 from .cells import CellAggregate
@@ -51,6 +46,9 @@ from .spec import McSpec, mc_digest
 
 MC_CHECKPOINT_KIND = "repro-mc-checkpoint"
 MC_CHECKPOINT_VERSION = 1
+_FORMAT = LogFormat(MC_CHECKPOINT_KIND, MC_CHECKPOINT_VERSION,
+                    name="an MC checkpoint", entry="snapshot",
+                    subject="campaign")
 
 logger = logging.getLogger("repro.stats")
 
@@ -133,95 +131,43 @@ class McResult:
         return self.complete and not self.problems
 
 
-def _create_mc_checkpoint(path: str, spec: McSpec) -> None:
-    """Atomic header creation: temp file + rename, like sweep checkpoints."""
-    header = json.dumps({
-        "kind": MC_CHECKPOINT_KIND,
-        "version": MC_CHECKPOINT_VERSION,
-        "total_trials": spec.total_trials,
-        "mc_sha256": mc_digest(spec),
-    }, sort_keys=True) + "\n"
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(header)
-            handle.flush()
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _checkpoint(path: str, spec: McSpec) -> DurableLog:
+    return DurableLog(path, _FORMAT, {"mc_sha256": mc_digest(spec),
+                                      "total_trials": spec.total_trials})
 
 
 def read_mc_checkpoint(path: str, spec: McSpec
                        ) -> Tuple[Optional[McState], int]:
-    """The latest intact cumulative state of a checkpoint, plus next chunk.
+    """The latest cumulative state of a checkpoint, plus the next chunk.
 
     Returns ``(state, next_chunk)`` — ``(None, 0)`` for a missing or empty
-    file.  The header must name this exact campaign
-    (:func:`~.spec.mc_digest`); a torn final line is tolerated (the crash
-    happened mid-append, the previous snapshot stands); corruption earlier
-    in the file is refused loudly.
+    file.  The header must pin this exact campaign (:func:`~.spec.mc_digest`),
+    and every snapshot must hold the trials its chunk ends at.
     """
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
-        return None, 0
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError:
-        raise ConfigurationError(
-            f"{path} is not an MC checkpoint (unreadable header line); "
-            f"delete the file to start the campaign fresh") from None
-    if not isinstance(header, dict) \
-            or header.get("kind") != MC_CHECKPOINT_KIND:
-        raise ConfigurationError(
-            f"{path} is not an MC checkpoint (expected a "
-            f"{MC_CHECKPOINT_KIND!r} header)")
-    if header.get("version") != MC_CHECKPOINT_VERSION:
-        raise ConfigurationError(
-            f"{path} is a version {header.get('version')} MC checkpoint; "
-            f"this build reads version {MC_CHECKPOINT_VERSION}")
-    digest = mc_digest(spec)
-    if header.get("mc_sha256") != digest:
-        raise ConfigurationError(
-            f"{path} was recorded for a different campaign "
-            f"(checkpoint {str(header.get('mc_sha256'))[:12]}…, this "
-            f"campaign {digest[:12]}…); refusing to merge unrelated "
-            f"statistics")
-    body = scan_jsonl(path, lines[1:], first_line=2,
-                      description="MC checkpoint")
+    def decode(entry):
+        chunk = entry["chunk"]
+        if not isinstance(chunk, int) or not 0 <= chunk < spec.total_chunks:
+            raise ValueError(f"chunk {chunk!r} is outside this campaign's "
+                             f"0..{spec.total_chunks - 1}")
+        state = McState.from_dict(entry["state"])
+        expected = spec.chunk_indices(chunk).stop
+        if state.trials_done != expected:
+            raise ValueError(
+                f"the snapshot for chunk {chunk} records "
+                f"{state.trials_done} trials, expected {expected}; the "
+                f"checkpoint is corrupt")
+        return chunk, state
+
+    body = _checkpoint(path, spec).scan(decode)
     if body.torn_tail:
         logger.warning("MC checkpoint %s ends in a truncated line (crash "
                        "mid-append); resuming from the previous snapshot",
                        path)
-    latest: Optional[Mapping[str, Any]] = None
-    last_chunk = -1
-    for line_number, entry in body.entries:
-        if (not isinstance(entry, dict) or "chunk" not in entry
-                or not isinstance(entry.get("state"), dict)):
-            raise ConfigurationError(
-                f"{path} has a malformed snapshot line (expected an object "
-                f"with \"chunk\" and \"state\"): line {line_number}")
-        chunk = entry["chunk"]
-        if not isinstance(chunk, int) or not 0 <= chunk < spec.total_chunks:
-            raise ConfigurationError(
-                f"{path} names chunk {chunk!r}, outside this campaign's "
-                f"0..{spec.total_chunks - 1}")
-        # Snapshots are cumulative, so the latest line supersedes all
-        # earlier ones — the same last-write-wins rule as sweep logs.
+    last_chunk, latest = -1, None
+    for _, (chunk, state) in body.entries:
         if chunk >= last_chunk:
-            last_chunk, latest = chunk, entry
-    if latest is None:
-        return None, 0
-    state = McState.from_dict(latest["state"])
-    expected = spec.chunk_indices(last_chunk).stop
-    if state.trials_done != expected:
-        raise ConfigurationError(
-            f"{path} snapshot for chunk {last_chunk} records "
-            f"{state.trials_done} trials, expected {expected}; the "
-            f"checkpoint is corrupt")
-    return state, last_chunk + 1
+            last_chunk, latest = chunk, state
+    return latest, last_chunk + 1
 
 
 def run_mc(spec: McSpec, checkpoint: Optional[str] = None,
@@ -244,19 +190,12 @@ def run_mc(spec: McSpec, checkpoint: Optional[str] = None,
     state: Optional[McState] = None
     start_chunk = 0
     resumed_trials = 0
+    log = None
     if checkpoint:
-        exists = (os.path.exists(checkpoint)
-                  and os.path.getsize(checkpoint) > 0)
+        log = _checkpoint(checkpoint, spec)
         if resume:
             state, start_chunk = read_mc_checkpoint(checkpoint, spec)
             resumed_trials = state.trials_done if state else 0
-        elif exists:
-            raise ConfigurationError(
-                f"checkpoint {checkpoint} already exists; pass resume=True "
-                f"(repro mc --resume) to continue it, or delete the file "
-                f"to start the campaign fresh")
-        if state is None:
-            _create_mc_checkpoint(checkpoint, spec)
     elif resume:
         raise ConfigurationError(
             "resume needs a checkpoint path to resume from")
@@ -277,11 +216,12 @@ def run_mc(spec: McSpec, checkpoint: Optional[str] = None,
                                          dict(spec.executor_params))
     else:
         runner, owned = resolve_executor(executor)
-    log = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
     end_chunk = spec.total_chunks
     if max_chunks is not None:
         end_chunk = min(end_chunk, start_chunk + max(0, max_chunks))
     try:
+        if log is not None:
+            log.open(resume)
         for chunk in range(start_chunk, end_chunk):
             indices = spec.chunk_indices(chunk)
             tickets: Dict[int, int] = {}
@@ -298,10 +238,8 @@ def run_mc(spec: McSpec, checkpoint: Optional[str] = None,
             state.fold(spec, completions)
             executed += len(indices)
             if log is not None:
-                log.write(json.dumps(
-                    {"chunk": chunk, "trials_done": state.trials_done,
-                     "state": state.to_dict()}, sort_keys=True) + "\n")
-                log.flush()
+                log.append({"chunk": chunk, "trials_done": state.trials_done,
+                            "state": state.to_dict()})
             if progress is not None:
                 progress(chunk, state.trials_done, total)
     finally:
