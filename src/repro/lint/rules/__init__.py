@@ -17,6 +17,7 @@ from .determinism import (
     UnsortedFsScanRule,
     WallClockRule,
 )
+from .durability import HandRolledDurabilityRule
 from .errors import BroadExceptRule, SwallowedFailstopRule
 
 _RULE_CLASSES = (
@@ -28,6 +29,7 @@ _RULE_CLASSES = (
     RoundtripParityRule,
     SwallowedFailstopRule,
     BroadExceptRule,
+    HandRolledDurabilityRule,
 )
 
 

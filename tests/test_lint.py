@@ -492,6 +492,38 @@ class TestBroadExcept:
 
 
 # ---------------------------------------------------------------------------
+# durability/hand-rolled
+# ---------------------------------------------------------------------------
+
+class TestHandRolledDurability:
+    RULE = "durability/hand-rolled"
+
+    def test_catches_a_rename_or_sync_outside_the_log_module(self, tmp_path):
+        result = lint_tree(tmp_path, {"serve/store.py": """\
+            import os
+
+            def store(tmp, path):
+                os.replace(tmp, path)
+            """}, rules=[self.RULE])
+        assert [(f.rule, f.path, f.line) for f in result.active] == [
+            (self.RULE, "serve/store.py", 4)]
+
+    def test_passes_inside_the_log_module(self, tmp_path):
+        result = lint_tree(tmp_path, {"api/durable.py": """\
+            import os
+
+            def replace_file(tmp, path, fd):
+                os.fsync(fd)
+                os.replace(tmp, path)
+            """}, rules=[self.RULE])
+        assert result.active == []
+
+    def test_the_tree_renames_and_syncs_only_in_the_log_module(self):
+        result = run_lint(REPRO_ROOT, package="repro", rules=[self.RULE])
+        assert result.findings == []
+
+
+# ---------------------------------------------------------------------------
 # Waiver semantics
 # ---------------------------------------------------------------------------
 
@@ -729,7 +761,7 @@ class TestCli:
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out == rule_names()
-        assert len(out) == 8
+        assert len(out) == 9
 
     def test_dirty_tree_exits_one(self, tmp_path, capsys):
         root = tmp_path / "dirty"
@@ -798,7 +830,7 @@ class TestSelfLint:
     def test_src_repro_is_clean(self):
         """The shipped tree passes its own audit (waivers all reasoned)."""
         result = run_lint(REPRO_ROOT, package="repro")
-        assert len(result.rules) == 8
+        assert len(result.rules) == 9
         assert result.active == []
         assert result.exit_code == 0
         for finding in result.findings:
