@@ -362,11 +362,9 @@ class ChildCounts:
     def _rank(self, low: int, high: int) -> None:
         """Refresh the top code and its count of rows ``low:high``, taking
         the first maximum in code order, like ``argmax``; stepped in
-        :func:`~repro.core.npsupport.row_blocks` of the leaf elements the
-        counts stand for."""
+        :func:`~repro.core.npsupport.row_blocks` of counts rows."""
         from .npsupport import row_blocks
-        for start, stop in row_blocks(high - low,
-                                      self.branch * self.parents_size):
+        for start, stop in row_blocks(high - low, self.parents_size):
             self._rank_block(low + start, low + stop)
 
     def _rank_block(self, start: int, stop: int) -> None:
@@ -489,8 +487,7 @@ class ChildCounts:
         self._refresh()
         out = self._buffer("counts.vote", self.best.shape, self.best.dtype)
         threshold = t + 1
-        for start, stop in row_blocks(len(out),
-                                      self.branch * self.parents_size):
+        for start, stop in row_blocks(len(out), self.parents_size):
             shape = (stop - start, self.parents_size)
             block_out = out[start:stop]
             reached = self._buffer("counts.more", shape, bool)

@@ -48,9 +48,9 @@ COUNTED_CASES = [
     ("hybrid", lambda: HybridSpec(3), 10, 3),
 ]
 
-#: Exponential n=8, t=2 steps seven rows; its counted leaf level stands for
-#: ``7 · 6`` leaf elements a row.
-BLOCKED_N, BLOCKED_ROWS, BLOCKED_LEAF = 8, 7, 42
+#: Exponential n=8, t=2 steps seven rows; the counts of its counted leaf
+#: level hold one entry per parent, 7 a row.
+BLOCKED_N, BLOCKED_ROWS, BLOCKED_COUNTS = 8, 7, 7
 
 
 @contextmanager
@@ -97,7 +97,7 @@ def _assert_identical(candidate, expected, context):
 
 
 def _run_blocked(rows_per_block, adversary, seed, steps=None):
-    """Exponential n=8 stepped in blocks of *rows_per_block* leaf rows.
+    """Exponential n=8 stepped in blocks of *rows_per_block* counts rows.
 
     The scalar tiny-level paths are off and the large-level forms on, so
     the vectorized kernels run in their reused buffers.  With *steps*, the
@@ -110,7 +110,7 @@ def _run_blocked(rows_per_block, adversary, seed, steps=None):
 
     def recording_row_blocks(count, row_elements):
         blocks = real_row_blocks(count, row_elements)
-        if steps is not None and row_elements == BLOCKED_LEAF:
+        if steps is not None and row_elements == BLOCKED_COUNTS:
             steps.append([stop - start for start, stop in blocks])
         return blocks
 
@@ -118,7 +118,7 @@ def _run_blocked(rows_per_block, adversary, seed, steps=None):
         patch.setattr(npsupport, "SMALL_KERNEL_ELEMENTS", 0)
         patch.setattr(npsupport, "LARGE_LEVEL_ELEMENTS", 0)
         patch.setattr(npsupport, "ROW_BLOCK_ELEMENTS",
-                      rows_per_block * BLOCKED_LEAF)
+                      rows_per_block * BLOCKED_COUNTS)
         patch.setattr(npsupport, "row_blocks", recording_row_blocks)
         return run_batched_if_supported(ExponentialSpec(), config, faulty,
                                         build_adversary(adversary), seed)

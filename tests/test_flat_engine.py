@@ -281,23 +281,24 @@ C_PHASE_RANDOM_LIAR_SPECS = [
 
 ALL_MODES = ("reference", "fast", "numpy", "batched")
 
-#: Batched specs on an odd row count (``n − 1``), with each cell's leaf row
-#: size: a two-leaf-row block budget splits them unevenly.  The hybrid's
-#: widest level is its Algorithm C leaf level (``n · n``).
+#: Batched specs on an odd row count (``n − 1``), with the row size a
+#: two-row block budget splits unevenly: the counts row of each cell's
+#: counted conversion level (one entry per parent), or, for the hybrid, its
+#: gathered Algorithm C leaf level (``n · n``).
 MULTI_BLOCK_SPECS = [
-    ("exponential", ExponentialSpec, 8, 2, 42),
-    ("algorithm-b", lambda: AlgorithmBSpec(2), 10, 2, 72),
-    ("algorithm-a", lambda: AlgorithmASpec(3), 10, 3, 504),
+    ("exponential", ExponentialSpec, 8, 2, 7),
+    ("algorithm-b", lambda: AlgorithmBSpec(2), 10, 2, 9),
+    ("algorithm-a", lambda: AlgorithmASpec(3), 10, 3, 72),
     ("hybrid", lambda: HybridSpec(3), 10, 3, 100),
 ]
 
 
 @contextmanager
-def forced_row_blocks(rows, leaf_size):
-    """Step the batched kernels in blocks of at most two leaf rows.
+def forced_row_blocks(rows, row_size):
+    """Step the batched kernels in blocks of at most two *row_size* rows.
 
-    The odd *rows*-row stack then splits into uneven blocks ending in a
-    one-row block, and shallower levels into fewer, larger blocks.  The
+    An odd *rows*-row stack of such rows then splits into uneven blocks
+    ending in a one-row block, and smaller rows into fewer, larger blocks.  The
     scalar tiny-level paths are switched off and the large-level forms
     switched on, so that the vectorized, blocked kernels — label-by-label
     gather and reused scratch buffers included — run at these small sizes.
@@ -316,18 +317,18 @@ def forced_row_blocks(rows, leaf_size):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(npsupport, "SMALL_KERNEL_ELEMENTS", 0)
         patch.setattr(npsupport, "LARGE_LEVEL_ELEMENTS", 0)
-        patch.setattr(npsupport, "ROW_BLOCK_ELEMENTS", 2 * leaf_size)
+        patch.setattr(npsupport, "ROW_BLOCK_ELEMENTS", 2 * row_size)
         patch.setattr(npsupport, "row_blocks", recording_row_blocks)
-        leaf_blocks = [stop - start for start, stop
-                       in real_row_blocks(rows, leaf_size)]
-        assert len(leaf_blocks) >= 3 and min(leaf_blocks) == 1
-        assert len(set(leaf_blocks)) == 2
+        blocks = [stop - start for start, stop
+                  in real_row_blocks(rows, row_size)]
+        assert len(blocks) >= 3 and min(blocks) == 1
+        assert len(set(blocks)) == 2
         yield seen
 
 
 @contextmanager
 def _maybe_forced_row_blocks(forced):
-    """:func:`forced_row_blocks` over *forced* ``(rows, leaf_size)``.
+    """:func:`forced_row_blocks` over *forced* ``(rows, row_size)``.
 
     With *forced* ``None`` the kernels keep the default budget and the
     yielded block record stays empty.
@@ -362,11 +363,11 @@ class TestBatchedRunEquivalence:
                          suppress_health_check=[HealthCheck.too_slow])
 
     @staticmethod
-    def _check_four_way(data, label, spec_factory, n, t, leaf_size=None,
+    def _check_four_way(data, label, spec_factory, n, t, row_size=None,
                         large_forms=False):
         """Draw one run and assert every mode matches the reference.
 
-        With *leaf_size*, the batched run steps under
+        With *row_size*, the batched run steps under
         :func:`forced_row_blocks` and must really split its stacks.  With
         *large_forms*, it runs the large-level forms at every level
         (:func:`~tests.helpers.large_level_forms`) and must really take
@@ -386,7 +387,7 @@ class TestBatchedRunEquivalence:
             for mode in ALL_MODES[:-1]
         }
         adversary = adversary_registry()[adversary_name]()
-        forced = None if leaf_size is None else (n - 1, leaf_size)
+        forced = None if row_size is None else (n - 1, row_size)
         with _maybe_forced_row_blocks(forced) as seen, (
                 large_level_forms() if large_forms
                 else nullcontext([])) as requested:
@@ -416,7 +417,7 @@ class TestBatchedRunEquivalence:
                            spec_factory=ExponentialSpec, t=2):
         """Assert a seeded random liar runs identically in every mode.
 
-        With *forced* ``(rows, leaf_size)``, the batched run steps under
+        With *forced* ``(rows, row_size)``, the batched run steps under
         :func:`forced_row_blocks` and must really split its stacks.
         """
         from repro.adversary import RandomLiarAdversary
@@ -477,12 +478,12 @@ class TestBatchedRunEquivalence:
 
     @_settings
     @given(data=st.data())
-    @pytest.mark.parametrize("label, spec_factory, n, t, leaf_size",
+    @pytest.mark.parametrize("label, spec_factory, n, t, row_size",
                              MULTI_BLOCK_SPECS)
     def test_four_way_identity_under_forced_row_blocks(self, data, label,
                                                        spec_factory, n, t,
-                                                       leaf_size):
-        self._check_four_way(data, label, spec_factory, n, t, leaf_size)
+                                                       row_size):
+        self._check_four_way(data, label, spec_factory, n, t, row_size)
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("faulty", [frozenset({5, 6}),
@@ -490,7 +491,7 @@ class TestBatchedRunEquivalence:
                              ids=["correct-source", "faulty-source"])
     def test_random_liar_reproducible_under_forced_row_blocks(self, faulty,
                                                               seed):
-        self._check_random_liar(8, faulty, seed, forced=(7, 42))
+        self._check_random_liar(8, faulty, seed, forced=(7, 7))
 
     def test_leaf_level_splits_naturally_at_n15(self):
         """Exponential n=15, t=4 is the smallest default-budget multi-block
