@@ -95,7 +95,6 @@ class ServeJournal:
 
     def __init__(self, path: str, fsync: bool = False) -> None:
         self.path = path
-        self.fsync = fsync
         self._lock = threading.Lock()
         self._log = DurableLog(path, _FORMAT, fsync=fsync)
         self._writes = 0

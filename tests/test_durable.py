@@ -64,7 +64,7 @@ def journal_append(journal, event, digest, payload):
     getattr(journal, event)(digest, payload)
 
 
-# -- per-kind drivers -------------------------------------------------------------
+# -- per-kind drivers ---------------------------------------------------------
 
 def write_log(kind, path, resume=False, fsync=False):
     """Run the fixture's work into *path*; with *resume*, continue the log.
@@ -94,7 +94,8 @@ def write_log(kind, path, resume=False, fsync=False):
 def read_journal(path):
     replay = ServeJournal(path).replay()
     return (replay.summary(), replay.completed,
-            [(digest, request.to_dict()) for digest, request in replay.pending])
+            [(digest, request.to_dict())
+             for digest, request in replay.pending])
 
 
 def read_log(kind, path):
@@ -110,7 +111,7 @@ def read_log(kind, path):
 
 
 def expected_after(kind, complete_entries):
-    """What reading a log holding its first *complete_entries* entries gives."""
+    """What reading a log of its first *complete_entries* entries gives."""
     if kind == "sweep":
         return {index: report for index, report
                 in enumerate(uninterrupted("sweep"))
@@ -158,7 +159,7 @@ def assert_resumed(kind, path, result):
     assert Path(path).read_bytes() == pinned(kind)
 
 
-# -- pinned logs ----------------------------------------------------------------
+# -- pinned logs --------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_writes_the_pinned_bytes(kind, tmp_path):
@@ -167,7 +168,7 @@ def test_writes_the_pinned_bytes(kind, tmp_path):
     assert Path(path).read_bytes() == pinned(kind)
 
 
-# -- cut at every byte offset -------------------------------------------------------
+# -- cut at every byte offset -------------------------------------------------
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_every_byte_cut_recovers_the_complete_lines(kind, tmp_path):
@@ -188,7 +189,7 @@ def test_every_byte_cut_recovers_the_complete_lines(kind, tmp_path):
             assert torn == (offset not in ends and offset > 0), offset
 
 
-# -- resume after a cut -------------------------------------------------------------
+# -- resume after a cut -------------------------------------------------------
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_resume_from_every_boundary_and_inside_every_line(kind, tmp_path):
@@ -203,7 +204,7 @@ def test_resume_from_every_boundary_and_inside_every_line(kind, tmp_path):
         assert_resumed(kind, path, write_log(kind, path, resume=True))
 
 
-# -- crash at every write boundary ----------------------------------------------------
+# -- crash at every write boundary --------------------------------------------
 
 class Crash(BaseException):
     """The simulated ``kill -9``: nothing catches it, no cleanup cuts it."""
@@ -285,7 +286,7 @@ def test_crash_at_every_write_boundary_then_resume(kind, tmp_path):
         assert_resumed(kind, path, write_log(kind, path, resume=True))
 
 
-# -- resume regressions ---------------------------------------------------------------
+# -- resume regressions -------------------------------------------------------
 
 def test_sweep_resume_cuts_the_torn_tail_before_appending(tmp_path):
     spec = SweepSpec(requests=tuple(
@@ -338,10 +339,11 @@ def test_journal_open_cuts_the_torn_tail_before_appending(tmp_path):
     assert not replay.torn_tail
 
 
-# -- failed appends ---------------------------------------------------------------------
+# -- failed appends -----------------------------------------------------------
 
 class FailingHandle:
-    """An append handle whose writes land short or fail after *partial* bytes."""
+    """An append handle whose writes land *partial* bytes, then fail or
+    return short."""
 
     def __init__(self, raw, partial, error):
         self.raw, self.partial, self.error = raw, partial, error
@@ -374,7 +376,7 @@ def test_a_failed_append_leaves_no_partial_line(tmp_path, error):
     assert not body.torn_tail
 
 
-# -- wrong shapes ------------------------------------------------------------------------
+# -- wrong shapes -------------------------------------------------------------
 
 def pinned_entries(kind):
     return [json.loads(line) for line in pinned(kind).splitlines()[1:]]
@@ -409,8 +411,9 @@ JUNK = st.recursive(
 
 @st.composite
 def reshaped(draw, value, depth=0):
-    """*value* with keys dropped, junk values and junk keys, at any depth."""
-    if not isinstance(value, dict) or draw(st.integers(0, 9)) == 0:
+    """*value* with keys dropped, junk values and junk keys, to depth 3."""
+    if depth > 3 or not isinstance(value, dict) \
+            or draw(st.integers(0, 9)) == 0:
         return draw(JUNK) if draw(st.booleans()) else value
     out = {}
     for key, item in value.items():
@@ -419,7 +422,7 @@ def reshaped(draw, value, depth=0):
             out[key] = item
         elif action == "junk":
             out[key] = draw(JUNK)
-        elif action == "deeper" and depth < 3:
+        elif action == "deeper":
             out[key] = draw(reshaped(item, depth + 1))
     if draw(st.booleans()):
         out[draw(st.text(max_size=5))] = draw(JUNK)
@@ -437,4 +440,4 @@ def test_only_named_errors_escape_a_reshaped_line(kind, data, tmp_path):
     try:
         read_log(kind, path)
     except ConfigurationError as exc:
-        assert path in str(exc)
+        assert path in str(exc) and "line 3" in str(exc)
