@@ -163,6 +163,7 @@ def read_mc_checkpoint(path: str, spec: McSpec
         logger.warning("MC checkpoint %s ends in a truncated line (crash "
                        "mid-append); resuming from the previous snapshot",
                        path)
+    # Snapshots are cumulative: the latest supersedes every earlier one.
     last_chunk, latest = -1, None
     for _, (chunk, state) in body.entries:
         if chunk >= last_chunk:
