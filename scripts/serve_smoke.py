@@ -13,7 +13,10 @@ process:
    re-execute at boot;
 4. re-submit the sweep until the backlog drains, then assert that every
    outcome is byte-identical to the ground truth **and** that every
-   repeat is a cache hit (``executed == 0`` in the stream's summary).
+   repeat is a cache hit (``executed == 0`` in the stream's summary);
+5. probe the HTTP framing of the recovered server: an over-long header
+   line, an over-long request line and a deeply nested JSON body must
+   each get a 4xx, and ``/healthz`` must still answer 200 afterwards.
 
 Exit status 0 means the property held; any assertion failure or timeout
 is a non-zero exit for CI.  Run locally with::
@@ -91,6 +94,53 @@ def post_sweep(port: int, body: str, timeout: float = 300.0) -> list:
     lines = [json.loads(line) for line in response.read().splitlines() if line]
     conn.close()
     return lines
+
+
+#: Past asyncio's 64 KiB line limit, and past any JSON recursion limit.
+LONG_LINE = 70_000
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+FRAMING_PROBES = {
+    "over-long header line": (b"GET /healthz HTTP/1.1\r\nX-Long: "
+                              + b"a" * LONG_LINE + b"\r\n\r\n"),
+    "over-long request line": (b"GET /" + b"a" * LONG_LINE
+                               + b" HTTP/1.1\r\n\r\n"),
+    "deeply nested JSON": (b"POST /run HTTP/1.1\r\nContent-Length: "
+                           + str(len(DEEP_JSON)).encode() + b"\r\n\r\n"
+                           + DEEP_JSON),
+}
+
+
+def raw_status(port: int, raw: bytes, timeout: float = 30.0) -> int:
+    """Send raw request bytes, half-close, and parse the reply's status."""
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=timeout) as sock:
+        try:
+            sock.sendall(raw)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # the server may answer and close before reading it all
+        reply = b""
+        try:
+            while chunk := sock.recv(65536):
+                reply += chunk
+        except ConnectionResetError:
+            pass
+    parts = reply.split(b" ", 2)
+    if len(parts) < 2 or parts[0] != b"HTTP/1.1" or not parts[1].isdigit():
+        raise SystemExit(f"no HTTP/1.1 status line in {reply[:80]!r}")
+    return int(parts[1])
+
+
+def probe_framing(port: int) -> None:
+    for name, raw in FRAMING_PROBES.items():
+        status = raw_status(port, raw)
+        assert 400 <= status < 500, f"{name}: expected a 4xx, got {status}"
+        print(f"[smoke] {name}: {status}", flush=True)
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    conn.request("GET", "/healthz")
+    status = conn.getresponse().status
+    conn.close()
+    assert status == 200, f"/healthz answered {status} after the probes"
 
 
 def journal_completions(journal: Path) -> int:
@@ -177,6 +227,7 @@ def main() -> None:
                 f"outcomes diverged from ground truth at {mismatches}")
             print(f"[smoke] all {len(results)} recovered outcomes are "
                   "byte-identical cache hits", flush=True)
+            probe_framing(port)
         finally:
             server.send_signal(signal.SIGTERM)
             try:

@@ -15,6 +15,15 @@ module adds the concurrency shell around it:
   ``run_in_executor`` (simulations are CPU-bound synchronous code); a
   worker whose job raises keeps running — the failure goes to the waiting
   client, the worker survives;
+* **admission on the loop**: ``POST /run`` is admitted (registry
+  resolution plus ``plan_run``, pure Python) on the event loop itself, so
+  a cache hit never leaves the loop thread — under the GIL a worker thread
+  would admit no faster; ``POST /sweep`` hands its N admissions to the
+  executor in one hop;
+* **one deadline per read phase**: the request line, the header block and
+  the body each get ``READ_TIMEOUT`` as a whole, so a slowloris client
+  that trickles header lines, each in time, still gets its 408; a line
+  past the stream's 64 KiB limit is a 400;
 * **streaming sweeps**: ``POST /sweep`` answers with chunked NDJSON, one
   line per report *in completion order*, cached entries first and instantly;
 * **recovery on boot**: journal-replayed pending requests are enqueued
@@ -53,7 +62,7 @@ from .service import (AdmissionError, AgreementService, ServeResult,
 
 #: Largest request body we will buffer (a generous bound for sweep specs).
 MAX_BODY_BYTES = 32 * 1024 * 1024
-#: Per-read timeout while parsing a request (slowloris guard).
+#: Deadline for each read phase of a request, not each read (slowloris guard).
 READ_TIMEOUT = 30.0
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -276,9 +285,12 @@ class HttpFrontend:
     async def _read_request(self, reader: asyncio.StreamReader) -> Tuple[
             Optional[_ParsedRequest], Optional[Tuple[int, str]]]:
         try:
-            line = await asyncio.wait_for(reader.readline(), READ_TIMEOUT)
-        except asyncio.TimeoutError:
+            async with asyncio.timeout(READ_TIMEOUT):
+                line = await reader.readline()
+        except TimeoutError:
             return None, (408, "timed out reading the request line")
+        except ValueError:  # readline past the stream's 64 KiB line limit
+            return None, (400, "request line too long")
         if not line:
             return None, None  # connection opened and closed; no request
         parts = line.decode("latin-1").strip().split()
@@ -292,15 +304,16 @@ class HttpFrontend:
                 name, _, value = pair.partition("=")
                 query[name] = value
         headers: Dict[str, str] = {}
-        while True:
-            try:
-                raw = await asyncio.wait_for(reader.readline(), READ_TIMEOUT)
-            except asyncio.TimeoutError:
-                return None, (408, "timed out reading headers")
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+        try:
+            async with asyncio.timeout(READ_TIMEOUT):
+                while (raw := await reader.readline()) not in (b"\r\n",
+                                                               b"\n", b""):
+                    name, _, value = raw.decode("latin-1").partition(":")
+                    headers[name.strip().lower()] = value.strip()
+        except TimeoutError:
+            return None, (408, "timed out reading headers")
+        except ValueError:
+            return None, (400, "header line too long")
         # RFC 9110: Content-Length = 1*DIGIT.  int() alone would accept a
         # sign, and a negative length then fails inside readexactly().
         raw_length = headers.get("content-length") or "0"
@@ -312,9 +325,9 @@ class HttpFrontend:
         body = b""
         if length:
             try:
-                body = await asyncio.wait_for(reader.readexactly(length),
-                                              READ_TIMEOUT)
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError):
+                async with asyncio.timeout(READ_TIMEOUT):
+                    body = await reader.readexactly(length)
+            except (TimeoutError, asyncio.IncompleteReadError):
                 return None, (400, "request body shorter than Content-Length")
         return _ParsedRequest(method, path, query, body), None
 
@@ -403,21 +416,22 @@ class HttpFrontend:
             raise AdmissionError(str(exc)) from exc
         return self.service.admit(request), request
 
+    def _json_body(self, parsed: _ParsedRequest) -> Any:
+        """The POST body as JSON; AdmissionError (400) if it is not JSON or
+        nests too deep to decode, ServiceUnavailableError (503) if draining."""
+        try:
+            data = json.loads(parsed.body or b"null")
+        except (ValueError, RecursionError) as exc:
+            raise AdmissionError(f"request body is not JSON: {exc}") from exc
+        if self.draining:
+            raise ServiceUnavailableError("server is draining")
+        return data
+
     async def _post_run(self, parsed: _ParsedRequest,
                         writer: asyncio.StreamWriter) -> None:
         assert self._loop is not None and self._queue is not None
         try:
-            data = json.loads(parsed.body or b"null")
-        except json.JSONDecodeError as exc:
-            await _respond(writer, 400,
-                           {"error": f"request body is not JSON: {exc}"})
-            return
-        if self.draining:
-            await _respond(writer, 503, {"error": "server is draining"})
-            return
-        try:
-            digest, request = await self._loop.run_in_executor(
-                None, self._admit_one, data)
+            digest, request = self._admit_one(self._json_body(parsed))
         except AdmissionError as exc:
             await _respond(writer, 400, {"error": str(exc)})
             return
@@ -468,17 +482,8 @@ class HttpFrontend:
     async def _post_sweep(self, parsed: _ParsedRequest,
                           writer: asyncio.StreamWriter) -> None:
         assert self._loop is not None and self._queue is not None
-        try:
-            data = json.loads(parsed.body or b"null")
-        except json.JSONDecodeError as exc:
-            await _respond(writer, 400,
-                           {"error": f"request body is not JSON: {exc}"})
-            return
-        if self.draining:
-            await _respond(writer, 503, {"error": "server is draining"})
-            return
 
-        def admit_all() -> List[Tuple[str, RunRequest]]:
+        def admit_all(data: Any) -> List[Tuple[str, RunRequest]]:
             spec = self._parse_sweep(data)
             admitted = []
             for index, request in enumerate(spec.resolved_requests()):
@@ -490,7 +495,8 @@ class HttpFrontend:
             return admitted
 
         try:
-            admitted = await self._loop.run_in_executor(None, admit_all)
+            admitted = await self._loop.run_in_executor(
+                None, admit_all, self._json_body(parsed))
         except AdmissionError as exc:
             await _respond(writer, 400, {"error": str(exc)})
             return

@@ -16,15 +16,27 @@ The contracts under test, from the inside out:
   re-execution;
 * the **HTTP frontend** speaks plain HTTP/1.1: admission failures are 400,
   overload is 429 with Retry-After, health endpoints flip under fault and
-  drain, sweeps stream as NDJSON.
+  drain, sweeps stream as NDJSON;
+* its **framing** answers every request with exactly one response, never a
+  500 or an empty reply (over-long lines, nested or undecodable JSON,
+  signed or duplicated Content-Length are all 4xx), and each read phase
+  has one deadline; ``/run`` admission runs on the event loop, so a cache
+  hit never hops to a thread.
 """
 
+import asyncio
+import concurrent.futures
 import http.client
 import json
 import os
+import re
+import socket
 import threading
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.api import RunRequest, execute
 from repro.runtime.chaos import ChaosPolicy, FaultInjection, chaos_scope
@@ -451,6 +463,68 @@ def _http(port, method, path, body=None, timeout=60):
     return response.status, payload, headers
 
 
+def _raw(port, raw, timeout=30):
+    """Send *raw* bytes, half-close, and read the reply to EOF.
+
+    The half-close means the server sees the end of the request at once,
+    so no exchange waits out ``READ_TIMEOUT``.  A reset after the server
+    answered early (unread request bytes left behind) ends the read.
+    """
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=timeout) as sock:
+        try:
+            sock.sendall(raw)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # answered and closed before it read everything
+        reply = b""
+        try:
+            while chunk := sock.recv(65536):
+                reply += chunk
+        except ConnectionResetError:
+            pass
+    return reply
+
+
+_STATUS_LINE = re.compile(rb"HTTP/1\.1 ([1-5]\d\d) [A-Za-z ]+")
+
+
+def _one_response(reply):
+    """The status of *reply*, asserting it is exactly one HTTP/1.1 response:
+    one status line, and a body that ends where its framing says."""
+    head, sep, rest = reply.partition(b"\r\n\r\n")
+    assert sep, f"no complete response head: {reply[:120]!r}"
+    status_line, *header_lines = head.split(b"\r\n")
+    match = _STATUS_LINE.fullmatch(status_line)
+    assert match, f"not an HTTP/1.1 status line: {status_line[:120]!r}"
+    headers = dict(line.split(b": ", 1) for line in header_lines)
+    if b"Content-Length" in headers:
+        assert int(headers[b"Content-Length"]) == len(rest), reply[:200]
+    else:
+        assert headers[b"Transfer-Encoding"] == b"chunked"
+        while True:
+            size_line, _, rest = rest.partition(b"\r\n")
+            size = int(size_line, 16)
+            if size == 0:
+                assert rest == b"\r\n", rest[:120]
+                break
+            assert rest[size:size + 2] == b"\r\n"
+            rest = rest[size + 2:]
+    return int(match.group(1))
+
+
+def _post_raw(path, body, content_length=None):
+    length = len(body) if content_length is None else content_length
+    return (f"POST {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            f"Content-Length: {length}\r\n\r\n").encode("latin-1") + body
+
+
+#: Past asyncio's 64 KiB StreamReader line limit.
+LONG = 70_000
+#: 100 000 opening brackets, then as many closing: past any recursion limit.
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+
+
 @pytest.fixture()
 def frontend(tmp_path):
     """A live server on an OS-assigned port, torn down after the test."""
@@ -511,18 +585,7 @@ class TestHttpFrontend:
     def test_malformed_content_length_is_400(self, frontend, length):
         """Content-Length is ``1*DIGIT``: a sign, a non-digit, or a non-ASCII
         digit is answered with a 400, never an empty reply."""
-        import socket
-        head = (f"POST /run HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-                f"Content-Length: {length}\r\n\r\n{{}}")
-        with socket.create_connection(("127.0.0.1", frontend.port),
-                                      timeout=30) as sock:
-            sock.sendall(head.encode("latin-1"))
-            reply = b""
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                reply += chunk
+        reply = _raw(frontend.port, _post_raw("/run", b"{}", length))
         assert reply.startswith(b"HTTP/1.1 400 "), reply[:80]
         assert b"unreadable Content-Length" in reply
 
@@ -602,6 +665,205 @@ class TestHttpFrontend:
         replay = ServeJournal(str(tmp_path / "serve.jsonl")).replay()
         assert replay.summary() == {"completed": 1, "pending": 0,
                                     "duplicates": 0, "torn_tail": False}
+
+
+class TestHttpFraming:
+    """Malformed framing ends in one 4xx response, never an empty reply."""
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"GET /" + b"a" * LONG + b" HTTP/1.1\r\n\r\n",
+         b"request line too long"),
+        (b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * LONG + b"\r\n\r\n",
+         b"header line too long"),
+    ], ids=["request-line", "header-line"])
+    def test_over_long_line_is_400_naming_the_line(self, frontend, raw,
+                                                   message):
+        reply = _raw(frontend.port, raw)
+        assert _one_response(reply) == 400, reply[:120]
+        assert message in reply
+
+    @pytest.mark.parametrize("path", ["/run", "/sweep"])
+    @pytest.mark.parametrize("body", [DEEP_JSON, b"\x80"],
+                             ids=["nested", "undecodable"])
+    def test_body_json_cannot_read_is_400(self, frontend, path, body):
+        reply = _raw(frontend.port, _post_raw(path, body))
+        assert _one_response(reply) == 400, reply[:120]
+        assert b"request body is not JSON: " in reply
+        assert _http(frontend.port, "GET", "/healthz")[0] == 200
+
+    def test_bare_lf_line_endings_are_accepted(self, frontend):
+        reply = _raw(frontend.port, b"GET /healthz HTTP/1.1\nHost: x\n\n")
+        assert _one_response(reply) == 200
+
+    def test_trickled_headers_time_out_as_one_block(self, frontend,
+                                                    monkeypatch):
+        """Each header line arrives inside the deadline, the block does not:
+        the deadline covers the whole header phase, not each read."""
+        from repro.serve import http as serve_http
+        monkeypatch.setattr(serve_http, "READ_TIMEOUT", 0.5)
+        reply = b""
+        with socket.create_connection(("127.0.0.1", frontend.port),
+                                      timeout=0.2) as sock:
+            sock.sendall(b"POST /run HTTP/1.1\r\n")
+            started = time.monotonic()
+            for index in range(25):  # at most 5 s of trickling
+                try:
+                    sock.sendall(f"X-Trickle-{index}: 1\r\n".encode())
+                    reply = sock.recv(65536)
+                    break
+                except socket.timeout:
+                    continue
+                except (BrokenPipeError, ConnectionResetError):
+                    break
+            elapsed = time.monotonic() - started
+            sock.settimeout(5)
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 408 "), reply[:80]
+        assert b"timed out reading headers" in reply
+        assert elapsed < 2 * 0.5, elapsed
+
+
+class _CountingExecutor(concurrent.futures.ThreadPoolExecutor):
+    """A default executor that records the name of every call submitted."""
+
+    def __init__(self):
+        super().__init__(max_workers=2)
+        self.calls = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.calls.append(getattr(fn, "__name__", repr(fn)))
+        return super().submit(fn, *args, **kwargs)
+
+
+class TestAdmissionOnTheLoop:
+    """``/run`` admission runs on the event loop: a hit never hops."""
+
+    def test_admit_runs_on_the_event_loop_thread(self, frontend):
+        admit, seen = frontend.service.admit, []
+
+        def recording_admit(request):
+            try:
+                seen.append(asyncio.get_running_loop())
+            except RuntimeError:  # no loop running in this thread
+                seen.append(threading.current_thread())
+            return admit(request)
+
+        frontend.service.admit = recording_admit
+        payload = small_request(seed=41).to_dict()
+        assert _http(frontend.port, "POST", "/run", payload)[0] == 200
+        assert _http(frontend.port, "POST", "/run", payload)[0] == 200
+        bad = dict(payload, protocol="quantum")
+        assert _http(frontend.port, "POST", "/run", bad)[0] == 400
+        assert seen == [frontend._loop] * 3
+
+    def test_only_a_miss_submits_to_the_executor_and_only_run_job(
+            self, frontend):
+        executor = _CountingExecutor()
+        installed = threading.Event()
+
+        def install():
+            frontend._loop.set_default_executor(executor)
+            installed.set()
+
+        frontend._loop.call_soon_threadsafe(install)
+        assert installed.wait(5)
+        payload = small_request(seed=42).to_dict()
+        status, body, _ = _http(frontend.port, "POST", "/run", payload)
+        assert status == 200 and not json.loads(body)["cached"]
+        assert executor.calls == ["run_job"]
+        status, body, _ = _http(frontend.port, "POST", "/run", payload)
+        assert status == 200 and json.loads(body)["cached"]
+        bad = dict(payload, protocol="quantum")
+        assert _http(frontend.port, "POST", "/run", bad)[0] == 400
+        assert executor.calls == ["run_job"]
+
+
+def _cheap_request(seed):
+    return RunRequest(protocol="exponential", n=4, t=1, initial_value=1,
+                      faulty=(3,), adversary="two-faced", seed=seed)
+
+
+def _nested(depth, inner=b"0"):
+    return b"[" * depth + inner + b"]" * depth
+
+
+#: Request bodies: JSON the endpoints accept or refuse, JSON that nests
+#: past the decoder's recursion limit (whole or in one field), and bytes
+#: that are not UTF-8 or not JSON at all.
+_BODIES = [
+    b"", b"null", b"{}", b"[]", b"0", b"not json", b"\x80\xff",
+    b'{"protocol"',
+    json.dumps(_cheap_request(1).to_dict()).encode(),
+    json.dumps([_cheap_request(2).to_dict()]).encode(),
+    json.dumps({"requests": [_cheap_request(1).to_dict()]}).encode(),
+    json.dumps(dict(_cheap_request(1).to_dict(), n="four")).encode(),
+    _nested(5), _nested(900), DEEP_JSON,
+    json.dumps(dict(_cheap_request(1).to_dict(), faulty="@")).encode()
+    .replace(b'"@"', _nested(950)),
+]
+
+
+@st.composite
+def _raw_requests(draw):
+    """Raw request bytes from a small HTTP/1.1 grammar; never empty."""
+    eol = draw(st.sampled_from([b"\r\n", b"\n"]))
+    method = draw(st.sampled_from([b"GET", b"POST", b"PUT", b"post", b""]))
+    target = draw(st.sampled_from([
+        b"/", b"/healthz", b"/readyz", b"/metrics?format=json", b"/run",
+        b"/sweep", b"/nope", b"/run?x=1&&y", b"*", b"/" + b"a" * LONG]))
+    version = draw(st.sampled_from([b"HTTP/1.1", b"HTTP/1.0", b"FTP/1",
+                                    b""]))
+    words = [word for word in (method, target, version) if word]
+    if draw(st.booleans()):
+        words = words[:draw(st.integers(0, len(words)))]
+    lines = [b" ".join(words)]
+    body = draw(st.sampled_from(_BODIES))
+    length = draw(st.sampled_from([
+        None, b"exact", b"+5", b"-1", b"0x10", b"", b" 12 ",
+        b"99999999999999999999", "\u00b2".encode(), "\u0663".encode()]))
+    sent = body
+    for _ in range(draw(st.integers(0, 3))):
+        lines.append(draw(st.sampled_from([
+            b"Host: 127.0.0.1", b"Content-Type: application/json",
+            b"X-No-Colon", b": empty-name", b"X-Long: " + b"a" * LONG,
+            b"Content-Length: 3"])))
+    if length is not None:
+        exact = str(len(body)).encode()
+        lines.append(b"Content-Length: "
+                     + (exact if length == b"exact" else length))
+        if length == b"exact" and body and draw(st.booleans()):
+            sent = body[:draw(st.integers(0, len(body) - 1))]  # truncated
+    return eol.join(lines) + eol + eol + sent
+
+
+class TestHttpFramingFuzz:
+    def test_every_raw_request_gets_exactly_one_non_500_response(
+            self, tmp_path):
+        """Each example half-closes after sending, so nothing waits out
+        ``READ_TIMEOUT``; a 10 s socket timeout bounds every exchange."""
+        service = AgreementService(cache=ResultCache(str(tmp_path / "c")))
+        frontend = HttpFrontend(service, port=0, max_queue=8, workers=2,
+                                drain_deadline=5.0)
+        thread = threading.Thread(target=frontend.run, daemon=True)
+        thread.start()
+        assert frontend.ready.wait(15), frontend._run_error
+
+        @settings(max_examples=150, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow,
+                                         HealthCheck.data_too_large])
+        @given(raw=_raw_requests())
+        def exchange(raw):
+            reply = _raw(frontend.port, raw, timeout=10)
+            status = _one_response(reply)
+            assert 200 <= status < 500, reply[:200]
+
+        try:
+            exchange()
+            assert _http(frontend.port, "GET", "/readyz")[0] == 200
+        finally:
+            frontend.stop()
+            thread.join(20)
 
 
 class TestHttpRecovery:
