@@ -801,6 +801,8 @@ _BODIES = [
     _nested(5), _nested(900), DEEP_JSON,
     json.dumps(dict(_cheap_request(1).to_dict(), faulty="@")).encode()
     .replace(b'"@"', _nested(950)),
+    json.dumps([dict(_cheap_request(2).to_dict(), faulty="@")]).encode()
+    .replace(b'"@"', _nested(950)),
 ]
 
 
