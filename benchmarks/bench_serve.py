@@ -10,8 +10,10 @@ lookup, journal append, supervised execution:
   execution (best of ``COLD_REPS``, cache cleared between repetitions);
 * **cache hit** — the same request again: admission + digest + lookup,
   no execution at all (best of ``HIT_REPS``);
-* **HTTP cache hit** — the hit measured through the asyncio frontend,
-  loopback TCP and HTTP parsing included.
+* **HTTP cache hit** — the hit sent from this process to a ``repro
+  serve`` subprocess (best of ``HTTP_REPS``): loopback TCP, HTTP parsing
+  and the frontend's event loop included, with no client thread sharing
+  the server's interpreter lock.
 
 Running ``python benchmarks/bench_serve.py`` merges a ``"serve"`` section
 into ``BENCH_perf.json`` (the rest of the recording — the engine table —
@@ -23,16 +25,22 @@ from __future__ import annotations
 
 import http.client
 import json
+import signal
+import subprocess
+import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
 from repro.api import RunRequest
-from repro.serve import (AgreementService, HttpFrontend, ResultCache,
-                         ServeJournal, request_digest)
+from repro.serve import (AgreementService, ResultCache, ServeJournal,
+                         request_digest)
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+BENCH_PATH = REPO_ROOT / "BENCH_perf.json"
+
+sys.path.insert(0, str(REPO_ROOT / "scripts"))
+from serve_smoke import free_port, start_server  # noqa: E402
 
 #: The acceptance-criterion cell, matching bench_perf's headline.
 HEADLINE = ("exponential", 13, 4)
@@ -80,20 +88,15 @@ def bench_service(tmp: str) -> dict:
 
 
 def bench_http(tmp: str) -> dict:
-    service = AgreementService(
-        cache=ResultCache(str(Path(tmp) / "http-cache")))
-    frontend = HttpFrontend(service, port=0, max_queue=8, workers=1,
-                            drain_deadline=5.0)
-    thread = threading.Thread(target=frontend.run, daemon=True)
-    thread.start()
-    if not frontend.ready.wait(30):
-        raise RuntimeError("serve frontend did not come up")
+    port = free_port()
+    workdir = Path(tmp) / "http"
+    workdir.mkdir()
+    server = start_server(port, workdir)
     body = json.dumps(headline_request().to_dict())
     try:
         timings = []
         for rep in range(HTTP_REPS + 1):
-            conn = http.client.HTTPConnection("127.0.0.1", frontend.port,
-                                              timeout=120)
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
             start = time.perf_counter()
             conn.request("POST", "/run", body=body)
             payload = json.loads(conn.getresponse().read())
@@ -103,8 +106,12 @@ def bench_http(tmp: str) -> dict:
                 assert payload["cached"]
                 timings.append(elapsed)
     finally:
-        frontend.stop()
-        thread.join(30)
+        server.send_signal(signal.SIGTERM)
+        try:
+            server.wait(30)
+        except subprocess.TimeoutExpired:
+            server.kill()
+            server.wait()
     return {"http_cache_hit_seconds": round(min(timings), 6)}
 
 
@@ -114,6 +121,7 @@ def main() -> None:
         section = {"protocol": protocol, "n": n, "t": t,
                    "scenario": "faulty-source-allies",
                    "cold_reps": COLD_REPS, "hit_reps": HIT_REPS,
+                   "http_reps": HTTP_REPS,
                    **bench_service(tmp), **bench_http(tmp)}
     section["hit_speedup"] = round(
         section["cold_run_seconds"] / section["cache_hit_seconds"], 2)

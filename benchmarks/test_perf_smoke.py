@@ -1,14 +1,11 @@
-"""Perf smoke: the array engines must stay fast and must match the oracle.
+"""Perf smoke: the array engines must stay fast.
 
 Collected by the tier-1 pytest run (unlike the ``bench_*`` table benchmarks,
 which only run under pytest-benchmark), so every change to an engine is
-gated on:
+gated on the points below.  That every engine matches the reference oracle
+is the parity matrix's claim (:mod:`tests.parity`).
 
-1. **Oracle agreement** — on a small ``(n, t)`` grid the fast engine *and*
-   the numpy engine (when numpy is installed) produce the same decisions,
-   discoveries, and metrics (including computation units) as the reference
-   engine, scenario by scenario.
-2. **Relative speed** — the fast engine is not slower than 1.5× the
+1. **Relative speed** — the fast engine is not slower than 1.5× the
    reference engine on the same grid, and the numpy engine is not slower
    than 1.2× the fast engine on the headline-sized Exponential cell
    (``n=13, t=4``).  The numpy gate runs at that size on purpose: ndarray
@@ -18,12 +15,11 @@ gated on:
    whole-run executor, whose reason to exist is erasing exactly that
    per-call overhead, must be ≥ 1.5× the per-processor numpy engine at the
    headline cell in the recording — live, batched must not be slower than
-   1.1× numpy there and must be observationally identical to it
-   (decisions, discoveries, metrics spot check).
+   1.1× numpy there.
    The façade must reach the right executor: ``engine="auto"`` resolves to
    batched at the headline cell and on every recorded Algorithm C and
    hybrid cell (their Algorithm C phase steps as row stacks too).
-3. **Recorded baseline** — when ``BENCH_perf.json`` exists, the recording
+2. **Recorded baseline** — when ``BENCH_perf.json`` exists, the recording
    itself must show the acceptance-gate speedups (≥ 5× fast-vs-reference on
    the Exponential headline cell, ≥ 2× numpy-vs-fast, and — when the
    recording includes the batched executor — ≥ 1.5× batched-vs-numpy at the
@@ -71,13 +67,6 @@ SMOKE_CELLS = [
 #: Where the numpy-vs-fast speed gate runs (small levels favour fast).
 NUMPY_GATE_CELL = ("exponential", ExponentialSpec, (), 13, 4)
 
-ARRAY_ENGINES = [
-    "fast",
-    pytest.param("numpy", marks=pytest.mark.skipif(
-        not numpy_available(), reason="numpy not installed")),
-]
-
-
 def _run(spec_cls, args, n, t, engine, scenario):
     config = ProtocolConfig(n=n, t=t, initial_value=1, engine=engine)
     start = time.perf_counter()
@@ -85,18 +74,6 @@ def _run(spec_cls, args, n, t, engine, scenario):
                            scenario.adversary())
     elapsed = time.perf_counter() - start
     return result, elapsed
-
-
-@pytest.mark.parametrize("engine", ARRAY_ENGINES)
-@pytest.mark.parametrize("label, spec_cls, args, n, t", SMOKE_CELLS)
-def test_array_engine_matches_oracle(label, spec_cls, args, n, t, engine):
-    for scenario in worst_case_scenarios(n, t):
-        candidate, _ = _run(spec_cls, args, n, t, engine, scenario)
-        reference, _ = _run(spec_cls, args, n, t, "reference", scenario)
-        assert candidate.decisions == reference.decisions, (label, scenario.name)
-        assert candidate.discovered == reference.discovered, (label, scenario.name)
-        assert candidate.metrics.summary() == reference.metrics.summary(), (
-            label, scenario.name)
 
 
 @pytest.mark.parametrize("label, spec_cls, args, n, t", SMOKE_CELLS)
@@ -112,17 +89,10 @@ def test_fast_engine_not_slower_than_reference(label, spec_cls, args, n, t):
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-def test_batched_matches_numpy_and_beats_it_at_scale():
-    """Observational-identity spot check + the 1.5× batched gate."""
+def test_batched_beats_numpy_at_scale():
+    """The live 1.1× bound under the recorded 1.5× batched gate."""
     label, spec_cls, args, n, t = NUMPY_GATE_CELL
     scenario = worst_case_scenarios(n, t)[0]
-    batched_result, _ = _run(spec_cls, args, n, t, "batched", scenario)
-    numpy_result, _ = _run(spec_cls, args, n, t, "numpy", scenario)
-    assert batched_result.decisions == numpy_result.decisions
-    assert batched_result.discovered == numpy_result.discovered
-    assert batched_result.discovery_logs == numpy_result.discovery_logs
-    assert (batched_result.metrics.summary()
-            == numpy_result.metrics.summary())
     batched_s = min(_run(spec_cls, args, n, t, "batched", scenario)[1]
                     for _ in range(3))
     numpy_s = min(_run(spec_cls, args, n, t, "numpy", scenario)[1]

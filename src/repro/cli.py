@@ -481,15 +481,6 @@ def _load_sweep(path: str) -> SweepSpec:
         raise SystemExit(f"invalid request in {source}: {exc}") from None
 
 
-def _load_requests(path: str) -> List[RunRequest]:
-    source = "stdin" if path == "-" else path
-    items = _parse_request_items(_read_payload(path), source)
-    try:
-        return [RunRequest.from_dict(item) for item in items]
-    except (RegistryError, ConfigurationError, TypeError, ValueError) as exc:
-        raise SystemExit(f"invalid request in {source}: {exc}") from None
-
-
 def _sweep_executor(args: argparse.Namespace, spec: SweepSpec):
     """The executor the flags select, or ``None`` to use the spec's own.
 

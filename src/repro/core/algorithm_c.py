@@ -173,7 +173,9 @@ class AlgorithmCProcessor(AgreementProtocol):
             return
         if round_number == 1:
             self._store_root(inbox.get(self.config.source))
-        elif round_number == 2:
+        elif self.tree.num_levels == 1:
+            # The tree's depth, not the round, picks the step: a shadow that
+            # slept through the intermediate round gathers it when it wakes.
             self._gather_intermediate(round_number, inbox)
         else:
             self._gather_leaves(round_number, inbox)

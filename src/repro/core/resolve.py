@@ -199,11 +199,6 @@ def flat_resolve_levels(tree: FlatEIGTree, conversion: str,
     return levels
 
 
-def flat_resolve_root(tree: FlatEIGTree, conversion: str, t: int) -> Value:
-    """The converted value of the root of a flat tree (bottom-up pass)."""
-    return flat_resolve_levels(tree, conversion, t)[0][0]
-
-
 # ---------------------------------------------------------------------------
 # The numpy engine's conversion: one bincount majority vote per level
 # ---------------------------------------------------------------------------

@@ -297,9 +297,6 @@ class ShiftingEIGProcessor(AgreementProtocol):
     def computation_units(self) -> int:
         return self.tree.meter.units
 
-    def finished_information_gathering(self) -> bool:
-        return self._last_round_seen >= self.total_rounds
-
 
 def run_rounds_for_blocks(block_lengths: Sequence[int]) -> int:
     """Total communication rounds for a schedule with the given block lengths."""

@@ -160,13 +160,6 @@ class InfoGatheringTree:
             yield from self._levels[index].keys()
 
     # -- growing the tree ----------------------------------------------------
-    def expected_parents(self, level: int) -> List[LabelSequence]:
-        """The sequences that must exist at ``level − 1`` before level *level*
-        can be populated (i.e. the internal nodes whose children are stored)."""
-        if level <= 1:
-            return []
-        return self.level_sequences(level - 1)
-
     def grow_level(self, level: int,
                    claimed_value) -> None:
         """Populate level *level* from a claim function.

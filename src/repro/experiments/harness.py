@@ -444,20 +444,6 @@ class ExperimentCell:
     initial_value: Value = 1
     seed: int = 0
 
-    def resolve_scenario(self) -> Scenario:
-        try:
-            battery = SCENARIO_BATTERIES[self.battery]
-        except KeyError:
-            raise ValueError(
-                f"unknown scenario battery {self.battery!r}; expected one of "
-                f"{sorted(SCENARIO_BATTERIES)}") from None
-        for scenario in battery(self.n, self.t):
-            if scenario.name == self.scenario:
-                return scenario
-        raise ValueError(
-            f"battery {self.battery!r} at (n={self.n}, t={self.t}) has no "
-            f"scenario named {self.scenario!r}")
-
     def to_request(self, engine: str = "auto") -> RunRequest:
         """The serializable façade request equivalent to this cell."""
         protocol, params = request_fields_for_spec(self.spec)

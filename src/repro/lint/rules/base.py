@@ -34,17 +34,6 @@ class Rule:
                        message=message, suggestion=suggestion)
 
 
-def call_name(module: ModuleInfo, node: ast.Call) -> Optional[str]:
-    """The resolved dotted name a call targets, or ``None``."""
-    return module.resolve(node.func)
-
-
-def iter_calls(tree: ast.AST) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node
-
-
 def enclosing_map(tree: ast.AST) -> dict:
     """child node -> parent node, for the handful of rules that look up."""
     parents = {}

@@ -38,10 +38,6 @@ class ClassInfo:
     bases: Tuple[str, ...]
     methods: Dict[str, ast.FunctionDef]
 
-    @property
-    def qualname(self) -> str:
-        return f"{self.module}.{self.name}"
-
 
 @dataclass
 class ModuleInfo:
@@ -136,15 +132,6 @@ def _collect_classes(info: ModuleInfo) -> None:
         info.classes[node.name] = ClassInfo(
             name=node.name, module=info.name, node=node, bases=bases,
             methods=methods)
-
-
-class ParseFailure(Exception):
-    """A target file does not parse; carries the path and the SyntaxError."""
-
-    def __init__(self, path: Path, error: SyntaxError) -> None:
-        super().__init__(f"{path}: {error}")
-        self.path = path
-        self.error = error
 
 
 @dataclass

@@ -23,7 +23,8 @@ module adds the concurrency shell around it:
 * **one deadline per read phase**: the request line, the header block and
   the body each get ``READ_TIMEOUT`` as a whole, so a slowloris client
   that trickles header lines, each in time, still gets its 408; a line
-  past the stream's 64 KiB limit is a 400;
+  past the stream's 64 KiB limit is a 400, and more than ``MAX_HEADERS``
+  header lines a 431;
 * **streaming sweeps**: ``POST /sweep`` answers with chunked NDJSON, one
   line per report *in completion order*, cached entries first and instantly;
 * **recovery on boot**: journal-replayed pending requests are enqueued
@@ -64,10 +65,13 @@ from .service import (AdmissionError, AgreementService, ServeResult,
 MAX_BODY_BYTES = 32 * 1024 * 1024
 #: Deadline for each read phase of a request, not each read (slowloris guard).
 READ_TIMEOUT = 30.0
+#: Most header lines one request may send (``http.client``'s bound).
+MAX_HEADERS = 100
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 408: "Request Timeout",
             413: "Payload Too Large", 429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
             500: "Internal Server Error", 503: "Service Unavailable"}
 
 #: Keys that mark a JSON object as a full SweepSpec rather than a request.
@@ -306,10 +310,15 @@ class HttpFrontend:
         headers: Dict[str, str] = {}
         try:
             async with asyncio.timeout(READ_TIMEOUT):
-                while (raw := await reader.readline()) not in (b"\r\n",
-                                                               b"\n", b""):
+                for _ in range(MAX_HEADERS + 1):
+                    raw = await reader.readline()
+                    if raw in (b"\r\n", b"\n", b""):
+                        break
                     name, _, value = raw.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
+                else:
+                    return None, (431, f"more than {MAX_HEADERS} header "
+                                       f"lines")
         except TimeoutError:
             return None, (408, "timed out reading headers")
         except ValueError:

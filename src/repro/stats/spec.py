@@ -29,7 +29,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Mapping, Sequence, Tuple
+from typing import Any, Dict, Mapping, Sequence, Tuple
 
 from ..api.request import RunRequest, derive_seed
 from ..runtime.errors import ConfigurationError
@@ -132,11 +132,6 @@ class McSpec:
             adversary_params=dict(cell.adversary_params),
             seed=seed, engine=cell.engine,
             allow_unsafe=cell.allow_unsafe)
-
-    def iter_requests(self, indices: Sequence[int]
-                      ) -> Iterator[RunRequest]:
-        for global_index in indices:
-            yield self.trial_request(global_index)
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

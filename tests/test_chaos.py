@@ -2,10 +2,11 @@
 
 The central property: for every fault schedule the fabric is specified to
 survive, the recovered run's report is **byte-identical** to an undisturbed
-run (compared over :meth:`RunReport.outcome_dict` — the serialized outcome
-minus the execution-side engine/metadata fields) and the recovery is
-documented in ``metadata["resilience"]``.  Schedules the fabric is *not*
-specified to survive raise named errors — never a hang.
+run (:func:`~tests.parity.assert_same_outcome` over
+:meth:`RunReport.outcome_dict` — the serialized outcome minus the
+execution-side engine/metadata fields) and the recovery is documented in
+``metadata["resilience"]``.  Schedules the fabric is *not* specified to
+survive raise named errors — never a hang.
 """
 
 import json
@@ -21,6 +22,7 @@ from repro.runtime.chaos import (ChaosController, ChaosPolicy, FaultInjection,
                                  build_chaos, chaos_scope, current_chaos)
 from repro.runtime.errors import (CheckpointWriteError, ConfigurationError,
                                   SupervisionExhaustedError)
+from tests.parity import assert_same_outcome
 
 #: Generous wall-clock ceiling: a hang trips the assert, recovery never does.
 _NO_HANG_SECONDS = 60.0
@@ -30,12 +32,6 @@ def small_request(**overrides):
                   faulty=(1, 2), adversary="two-faced", seed=11)
     fields.update(overrides)
     return RunRequest(**fields)
-
-
-def canonical(report):
-    """The byte string two observationally identical executions share."""
-    return json.dumps(report.outcome_dict(), sort_keys=True,
-                      separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +151,7 @@ class TestSurvivablePoolChaos:
                 reports = dict(pool.iter_reports())
         assert sorted(reports) == [0, 1, 2]
         for index, baseline in enumerate(baselines):
-            assert canonical(reports[index]) == canonical(baseline)
+            assert_same_outcome(reports[index], baseline, index)
         record = reports[1].metadata["resilience"][0]
         assert record["error"] == "BrokenProcessPool"
         assert record["fallback"] == "serial"
@@ -172,7 +168,7 @@ class TestSurvivablePoolChaos:
                             chaos=[{"kind": "pool-worker-kill", "index": 1}])
         assert len(reports) == 2
         for report, baseline in zip(reports, undisturbed):
-            assert canonical(report) == canonical(baseline)
+            assert_same_outcome(report, baseline)
             assert "resilience" not in report.metadata
 
 
@@ -186,7 +182,7 @@ class TestSurvivableCheckpointChaos:
                             chaos=[{"kind": "checkpoint-write-fail",
                                     "index": 0}])
         for report, baseline in zip(reports, undisturbed):
-            assert canonical(report) == canonical(baseline)
+            assert_same_outcome(report, baseline)
         retried = reports[0].metadata["resilience"][0]
         assert retried["stage"] == "checkpoint"
         assert retried["error"] == "OSError"
@@ -204,7 +200,7 @@ class TestSurvivableCheckpointChaos:
         plain = run_sweep(spec, checkpoint=str(tmp_path / "a.jsonl"))
         synced = run_sweep(spec, checkpoint=str(tmp_path / "b.jsonl"),
                            fsync=True)
-        assert canonical(plain[0]) == canonical(synced[0])
+        assert_same_outcome(synced[0], plain[0])
 
 
 # ---------------------------------------------------------------------------

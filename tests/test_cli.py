@@ -7,6 +7,7 @@ import pytest
 from repro.api import RunReport
 from repro.cli import build_request, main
 from repro.core import engine as engine_module
+from tests.parity import assert_same_outcome
 
 
 class TestBuildRequest:
@@ -253,8 +254,9 @@ class TestSweepExecutors:
         reports = [RunReport.from_dict(item)
                    for item in json.loads(capsys.readouterr().out)]
         assert all(r.succeeded and not r.metadata for r in reports)
-        assert ([r.outcome_dict() for r in reports]
-                == [r.outcome_dict() for r in serial])
+        assert len(reports) == len(serial)
+        for report, expected in zip(reports, serial):
+            assert_same_outcome(report, expected)
 
     def test_sweep_file_may_carry_a_sweep_spec(self, tmp_path, capsys):
         payload = {

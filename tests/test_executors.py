@@ -21,6 +21,7 @@ from repro.api import (DEFAULT_EXECUTOR, Executor, PoolExecutor, RunReport,
                        iter_sweep, read_checkpoint, resolve_executor,
                        run_sweep, scan_checkpoint, sweep_digest)
 from repro.runtime.errors import ConfigurationError
+from tests.parity import assert_same_outcome
 
 
 def small_requests(count=3, protocol="exponential", **overrides):
@@ -108,10 +109,7 @@ class TestExecutorProtocol:
                     backend.submit(request)
                 reports = dict(backend.iter_reports())
             for index, report in enumerate(expected):
-                got = reports[index]
-                assert got.decisions == report.decisions, backend.name
-                assert got.metrics == report.metrics, backend.name
-                assert got.discovered == report.discovered, backend.name
+                assert_same_outcome(reports[index], report, backend.name)
 
     def test_pool_completes_every_request(self):
         requests = small_requests(4)
@@ -246,8 +244,7 @@ class TestPoolBrokenWorker:
         assert sorted(reports) == [0, 1, 2, 3]
         expected = [execute(r) for r in requests]
         for index in range(4):
-            assert reports[index].decisions == expected[index].decisions
-            assert reports[index].metrics == expected[index].metrics
+            assert_same_outcome(reports[index], expected[index], index)
         # ...and at least the crashed one carries a structured recovery
         # record.  (Which *other* requests were still in flight when the
         # pool broke is timing-dependent, so only the crashed index is
@@ -519,10 +516,18 @@ class TestFacadePinning:
         requests = small_requests(3)
         serial = execute_many(requests, parallel=False)
         pooled = execute_many(requests, parallel=True, max_workers=2)
-        assert pooled == serial == [execute(r) for r in requests]
         grouped = execute_grouped([requests[:2], requests[2:]],
                                   max_workers=2)
-        assert grouped == [serial[:2], serial[2:]]
+        assert [len(group) for group in grouped] == [2, 1]
+        for index, request in enumerate(requests):
+            expected = execute(request)
+            for report in (serial[index], pooled[index],
+                           grouped[index // 2][index % 2]):
+                assert_same_outcome(report, expected, index)
+                assert (report.engine, report.engine_resolved,
+                        report.metadata) == (expected.engine,
+                                             expected.engine_resolved,
+                                             expected.metadata), index
 
     def test_run_cells_accepts_an_executor(self):
         from repro.experiments import grid_cells, run_cells

@@ -5,10 +5,9 @@ omission, crash-recovery, moving target): unit behaviour, registry schemas,
 the ``reseed`` hook, seed determinism (including independence from the
 global ``random`` module), the state-corruption views shared by the
 per-processor and batched drivers, batched eligibility gating, and
-end-to-end safety at resilient parameters.  Cross-engine observational
-identity is exercised exhaustively by ``test_flat_engine.py``, which draws
-adversaries from the registry; the parity checks here are targeted spot
-checks of the corruption hook specifically.
+end-to-end safety at resilient parameters.  Every zoo family runs on every
+execution path in the parity matrix (:mod:`tests.parity`), which takes its
+adversaries from the registry.
 """
 
 import random
@@ -29,6 +28,7 @@ from repro.core.protocol import ProtocolConfig
 from repro.runtime.corruption import corruption_enabled, tree_state_views
 from repro.runtime.errors import SimulationError
 from repro.runtime.simulation import run_agreement
+from tests.parity import assert_same_outcome
 
 ZOO = ("transient-corruption", "send-omission", "receive-omission",
        "crash-recovery", "moving-target")
@@ -214,7 +214,9 @@ class TestDeterminism:
         first = execute(request)
         random.seed(999)  # a different global stream must change nothing
         second = execute(request)
-        assert first == second
+        assert_same_outcome(second, first)
+        assert (second.engine, second.engine_resolved, second.metadata) \
+            == (first.engine, first.engine_resolved, first.metadata)
 
 
 class TestEndToEnd:
@@ -250,47 +252,20 @@ class TestEndToEnd:
 
 @pytest.mark.skipif(not engine_module.batched_available(),
                     reason="numpy not installed")
-class TestCorruptionParity:
-    """Spot checks that the corrupt_state hook fires identically everywhere
-    (the exhaustive four-way sweep lives in test_flat_engine.py)."""
-
-    def test_batched_matches_reference_for_corruption(self):
-        spec = ExponentialSpec()
-        config = ProtocolConfig(n=7, t=2, initial_value=1)
-        faulty = frozenset({5, 6})
-
-        def run(engine):
-            return run_agreement(
-                spec, replace(config, engine=engine), faulty,
-                TransientCorruptionAdversary(corrupt_rounds=2, victims=2,
-                                             flips=2),
-                seed=5)
-
-        reference, batched = run("reference"), run("batched")
-        assert batched.decisions == reference.decisions
-        assert batched.discovered == reference.discovered
-        assert batched.metrics.summary() == reference.metrics.summary()
-
-    def test_batched_gating(self):
-        from repro.runtime.batched import run_batched_if_supported
-        spec = ExponentialSpec()
-        config = ProtocolConfig(n=9, t=2, initial_value=1, engine="batched")
-        faulty = frozenset({7, 8})
-        # Corruption-hook adversaries stay batched and match the
-        # per-processor reference exactly.
-        batched = run_batched_if_supported(
-            spec, config, faulty,
-            TransientCorruptionAdversary(corrupt_rounds=2, victims=2,
-                                         flips=2),
-            5)
-        assert batched is not None
-        reference = run_agreement(
-            spec, replace(config, engine="reference"), faulty,
-            TransientCorruptionAdversary(corrupt_rounds=2, victims=2,
-                                         flips=2),
-            seed=5)
-        assert batched.decisions == reference.decisions
-        assert batched.metrics.summary() == reference.metrics.summary()
-        # Fallback-reason adversaries decline the batched path entirely.
-        assert run_batched_if_supported(
-            spec, config, faulty, CrashRecoveryAdversary(), 5) is None
+def test_batched_gating():
+    """Corruption-hook adversaries stay batched; fallback-reason ones
+    decline the batched path entirely."""
+    from repro.runtime.batched import run_batched_if_supported
+    spec = ExponentialSpec()
+    config = ProtocolConfig(n=9, t=2, initial_value=1, engine="batched")
+    faulty = frozenset({7, 8})
+    batched = run_batched_if_supported(
+        spec, config, faulty,
+        TransientCorruptionAdversary(corrupt_rounds=2, victims=2, flips=2), 5)
+    reference = run_agreement(
+        spec, replace(config, engine="reference"), faulty,
+        TransientCorruptionAdversary(corrupt_rounds=2, victims=2, flips=2),
+        seed=5)
+    assert_same_outcome(batched, reference)
+    assert run_batched_if_supported(
+        spec, config, faulty, CrashRecoveryAdversary(), 5) is None

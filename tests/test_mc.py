@@ -10,7 +10,6 @@ discipline shared with sweeps: atomic header creation, digest pinning
 refusal of corruption.
 """
 
-import dataclasses
 import json
 import os
 import signal
@@ -21,7 +20,6 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.core.engine import numpy_available
 from repro.runtime.errors import ConfigurationError
 from repro.stats import (McCell, McSpec, McState, bound_rows, cell_rows,
                          mc_digest, read_mc_checkpoint, render_markdown,
@@ -147,45 +145,6 @@ class TestRunMc:
             (c, done, total)))
         assert len(seen) == spec.total_chunks
         assert seen[-1] == (spec.total_chunks - 1, 24, 24)
-
-
-#: The mc-mixed benchmark's cell shapes: C, the hybrid, a batched-declining
-#: adversary on Exponential, and one batched-eligible omission cell.
-MIXED_CELLS = (
-    McCell(protocol="algorithm-c", n=14, t=2, adversary="two-faced"),
-    McCell(protocol="algorithm-c", n=20, t=3, adversary="random-liar"),
-    McCell(protocol="hybrid", n=10, t=3, adversary="random-liar",
-           protocol_params={"b": 3}),
-    McCell(protocol="hybrid", n=13, t=4, adversary="two-faced",
-           protocol_params={"b": 3}),
-    McCell(protocol="exponential", n=10, t=3, adversary="crash-recovery"),
-    McCell(protocol="algorithm-b", n=9, t=2, adversary="send-omission",
-           protocol_params={"b": 2}),
-)
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-@pytest.mark.parametrize("cell", MIXED_CELLS, ids=McCell.label)
-def test_auto_campaign_state_matches_numpy(cell):
-    """Engine planning never reaches campaign state.
-
-    ``auto`` plans eligible runs onto batched and batched-declining runs
-    onto ``fast``; the final state must equal an explicit ``engine="numpy"``
-    campaign (cells differ only in their ``engine`` field), so checkpoints,
-    pinned digests, and the serve cache stay valid across planner changes.
-    """
-    def state(engine_cell):
-        return run_mc(McSpec(cells=(engine_cell,), trials=3, sweep_seed=5,
-                             chunk_size=2)).state.to_dict()
-
-    def without_engine(payload):
-        for aggregate in payload["aggregates"]:
-            del aggregate["cell"]["engine"]
-        return payload
-
-    auto = state(cell)
-    numpy_state = state(dataclasses.replace(cell, engine="numpy"))
-    assert without_engine(numpy_state) == without_engine(auto)
 
 
 class TestKillSurvival:

@@ -21,6 +21,7 @@ from repro.search import (OBJECTIVES, SearchSpec, get_objective, load_pinned,
 from repro.search.pinning import scenario_name
 from repro.search.space import (mutate_viable, sample_viable, viable)
 from repro.runtime.errors import ConfigurationError
+from tests.parity import assert_same_outcome
 
 import random
 
@@ -214,7 +215,7 @@ class TestPinning:
         assert expect["agreement"] == report.agreement
         replayed, _, mismatches = replay_pinned(path)
         assert mismatches == []
-        assert replayed.decisions == report.decisions
+        assert_same_outcome(replayed, report)
 
     def test_scenario_name_is_filesystem_safe_and_descriptive(self):
         request, _ = self._hit()

@@ -45,6 +45,7 @@ from repro.runtime.errors import (CheckpointWriteError, ConfigurationError,
 from repro.serve import (AdmissionError, AgreementService, HttpFrontend,
                          ResultCache, ServeJournal, ServeMetrics,
                          ServiceUnavailableError, request_digest)
+from tests.parity import assert_same_outcome
 
 
 def small_request(**overrides):
@@ -292,7 +293,7 @@ class TestAgreementService:
         second = service.handle(small_request())
         assert not first.cached and second.cached
         assert second.outcome == first.outcome
-        assert first.outcome == execute(small_request()).outcome_dict()
+        assert_same_outcome(first.outcome, execute(small_request()))
         snap = service.metrics.snapshot(cache_stats=service.cache.stats())
         assert snap["executions_total"] == 1
         assert snap["requests_total"] == 2
@@ -310,7 +311,7 @@ class TestAgreementService:
         with chaos_scope(chaos_policy("serve-worker-death", times=1)):
             result = service.handle(small_request())
         assert not result.cached
-        assert result.outcome == execute(small_request()).outcome_dict()
+        assert_same_outcome(result.outcome, execute(small_request()))
         events = [e["event"] for e in result.resilience]
         assert "retry" in events and "completed" in events
         snap = service.metrics.snapshot()
@@ -605,8 +606,8 @@ class TestHttpFrontend:
         assert summary == {"event": "done", "total": 2, "cached": 0,
                            "executed": 2}
         outcomes = {entry["index"]: entry["outcome"] for entry in lines[:-1]}
-        assert outcomes[0] == execute(small_request(seed=7)).outcome_dict()
-        assert outcomes[1] == execute(small_request(seed=8)).outcome_dict()
+        assert_same_outcome(outcomes[0], execute(small_request(seed=7)))
+        assert_same_outcome(outcomes[1], execute(small_request(seed=8)))
 
     def test_sweep_serves_known_entries_from_cache(self, frontend):
         request = small_request(seed=9).to_dict()
@@ -690,6 +691,18 @@ class TestHttpFraming:
         assert _one_response(reply) == 400, reply[:120]
         assert b"request body is not JSON: " in reply
         assert _http(frontend.port, "GET", "/healthz")[0] == 200
+
+    @pytest.mark.parametrize("count, status", [(100, 200), (101, 431)])
+    def test_header_lines_are_bounded(self, frontend, count, status):
+        """At most ``MAX_HEADERS`` (100) header lines, as http.client."""
+        head = b"".join(b"X-Header-%d: 1\r\n" % index
+                        for index in range(count))
+        reply = _raw(frontend.port,
+                     b"GET /healthz HTTP/1.1\r\n" + head + b"\r\n")
+        assert _one_response(reply) == status, reply[:120]
+        if status == 431:
+            assert b"more than 100 header lines" in reply
+        assert _http(frontend.port, "GET", "/readyz")[0] == 200
 
     def test_bare_lf_line_endings_are_accepted(self, frontend):
         reply = _raw(frontend.port, b"GET /healthz HTTP/1.1\nHost: x\n\n")
@@ -927,6 +940,6 @@ class TestHttpRecovery:
         frontend.stop()
         thread.join(20)
         assert result is not None
-        assert result["outcome"] == execute(request).outcome_dict()
+        assert_same_outcome(result["outcome"], execute(request))
         replay = ServeJournal(journal_path).replay()
         assert replay.summary()["pending"] == 0

@@ -24,6 +24,7 @@ from repro.runtime.supervision import (DEFAULT_LADDER, RetryPolicy,
                                        completed_event, downgrade_event,
                                        pool_retry_record, retry_event,
                                        skip_event)
+from tests.parity import assert_same_outcome
 
 
 def small_request(**overrides):
@@ -321,19 +322,6 @@ class TestSupervisedExecutor:
         assert SupervisedExecutor().ladder == DEFAULT_LADDER
         assert DEFAULT_LADDER == ("batched", "pool", "serial")
 
-    def test_undisturbed_run_matches_execute_with_no_metadata(self):
-        request = small_request()
-        baseline = execute(request)
-        supervised = execute_resilient(request, deadline=30.0)
-        assert supervised.metadata == {}
-        assert supervised.outcome_dict() == baseline.outcome_dict()
-
-    def test_serial_only_ladder_matches_execute(self):
-        request = small_request()
-        baseline = execute(request)
-        supervised = execute_resilient(request, ladder=["serial"])
-        assert supervised.outcome_dict() == baseline.outcome_dict()
-
     @staticmethod
     def _serial_floor(monkeypatch, request):
         """Run *request* on the serial floor; return its report and engines."""
@@ -359,7 +347,7 @@ class TestSupervisedExecutor:
         report, built = self._serial_floor(monkeypatch, request)
         assert report.engine_resolved == "fast"
         assert built and set(built) == {"fast"}
-        assert report.outcome_dict() == execute(request).outcome_dict()
+        assert_same_outcome(report, execute(request))
 
     @pytest.mark.parametrize("engine", [
         "reference",
@@ -373,15 +361,14 @@ class TestSupervisedExecutor:
         report, built = self._serial_floor(monkeypatch, request)
         assert report.engine == report.engine_resolved == engine
         assert built and set(built) == {engine}
-        assert report.outcome_dict() == execute(request).outcome_dict()
+        assert_same_outcome(report, execute(request))
 
     def test_pool_only_ladder_matches_execute(self):
         request = small_request()
-        baseline = execute(request)
         supervised = execute_resilient(request, ladder=["pool"],
                                        deadline=30.0)
         assert supervised.metadata == {}
-        assert supervised.outcome_dict() == baseline.outcome_dict()
+        assert_same_outcome(supervised, execute(request))
 
     def test_pool_worker_past_its_deadline_downgrades_to_serial(
             self, monkeypatch):
@@ -392,7 +379,7 @@ class TestSupervisedExecutor:
         report = execute_resilient(request, ladder=["pool", "serial"],
                                    deadline=0.5, max_attempts=1)
         assert time.monotonic() - started < 30.0
-        assert report.outcome_dict() == execute(request).outcome_dict()
+        assert_same_outcome(report, execute(request))
         trail = report.metadata["resilience"]
         assert [(e["event"], e.get("stage", e.get("from"))) for e in trail] \
             == [("downgrade", "pool"), ("completed", "serial")]
