@@ -111,8 +111,8 @@ def test_facade_auto_resolves_to_batched_at_headline():
     """The façade path must reach the batched executor, not just run.
 
     ``engine="auto"`` on the headline Exponential cell has to resolve to the
-    whole-run batched executor (this is what makes the harness's
-    ``execute_many`` sweeps compound batching with pool parallelism), and the
+    whole-run batched executor (this is what makes the harness's pooled
+    ``run_sweep`` grids compound batching with pool parallelism), and the
     report's run metadata is the proof.
     """
     label, _, _, n, t = NUMPY_GATE_CELL

@@ -11,7 +11,7 @@ dichotomy visible on a concrete run.
 Run:  python examples/block_progress_trace.py
 """
 
-from repro import AlgorithmASpec, HybridSpec, ProtocolConfig, run_agreement
+from repro import HybridSpec, ProtocolConfig, run_agreement
 from repro.adversary import EquivocatingSourceWithAlliesAdversary
 from repro.analysis import format_table
 from repro.core.hybrid import hybrid_parameters

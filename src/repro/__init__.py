@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from .api import (RunReport, RunRequest, SweepSpec, adversary_names,
                   adversary_registry, build_adversary, build_protocol,
-                  execute, execute_many, executor_names, executor_registry,
+                  execute, executor_names, executor_registry,
                   iter_execute, protocol_names, protocol_registry, run_sweep)
 from .core import (AlgorithmASpec, AlgorithmBSpec, AlgorithmCSpec,
                    AgreementProtocol, BOTTOM, DEFAULT_VALUE, ExponentialSpec,
@@ -54,7 +54,7 @@ from .core import (AlgorithmASpec, AlgorithmBSpec, AlgorithmCSpec,
                    exponential_resilience, exponential_rounds,
                    hybrid_parameters, hybrid_rounds, resolve, resolve_prime)
 from .runtime import (Message, RunMetrics, RunResult, SynchronousNetwork,
-                      choose_faulty, run_agreement, run_many)
+                      choose_faulty, run_agreement)
 
 __version__ = "1.1.0"
 
@@ -62,14 +62,14 @@ __all__ = [
     "__version__",
     # the declarative façade
     "RunRequest", "RunReport", "SweepSpec",
-    "execute", "execute_many", "iter_execute", "run_sweep",
+    "execute", "iter_execute", "run_sweep",
     "protocol_registry", "adversary_registry",
     "executor_registry", "executor_names",
     "protocol_names", "adversary_names",
     "build_protocol", "build_adversary",
     # configuration & execution
     "ProtocolConfig", "ProtocolSpec", "AgreementProtocol",
-    "run_agreement", "run_many", "choose_faulty",
+    "run_agreement", "choose_faulty",
     "RunResult", "RunMetrics", "Message", "SynchronousNetwork",
     # values & trees
     "Value", "DEFAULT_VALUE", "BOTTOM", "InfoGatheringTree", "RepetitionTree",

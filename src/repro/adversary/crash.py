@@ -10,7 +10,7 @@ round-count lower bounds.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from ..core.sequences import ProcessorId
 from .base import ShadowAdversary

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Tuple
 
 from ..core.sequences import ProcessorId, SequenceIndex
-from ..core.values import Value
 from ..runtime.messages import LevelMessage, Message, Outbox
 from .base import ShadowAdversary
 from .liars import another_value

@@ -26,8 +26,7 @@ from ..core.algorithm_a import (algorithm_a_max_message_entries, algorithm_a_res
 from ..core.algorithm_b import algorithm_b_resilience, algorithm_b_rounds
 from ..core.exponential import exponential_max_message_entries, exponential_rounds
 from ..core.hybrid import hybrid_rounds
-from .bounds import (algorithm_a_local_computation, algorithm_b_local_computation,
-                     exponential_local_computation, hybrid_local_computation)
+from .bounds import algorithm_a_local_computation
 from .coan_model import coan_local_computation
 
 

@@ -15,10 +15,9 @@ executing agreement runs:
   (``submit``/``iter_reports``/``close``) with a name→factory registry:
   ``"serial"``, ``"pool"``, and the ``"supervised"`` resilient backend (worker
   deadlines, seeded retry/backoff, degradation ladder, audit trail);
-* **façade** (:mod:`.facade`) — :func:`execute` for one request,
-  :func:`execute_resilient` for one supervised request,
-  :func:`iter_execute` for streaming sweeps over any executor,
-  :func:`execute_many` for the classic list-shaped pool sweep;
+* **façade** (:mod:`.facade`) — :func:`execute` for one request and
+  :func:`iter_execute` for any batch of requests on any executor: the one
+  loop that submits to an executor and drains it;
 * **sweeps** (:mod:`.sweep`) — :func:`run_sweep`/:func:`iter_sweep` with a
   JSONL checkpoint log (atomic header creation, bounded append retry,
   opt-in fsync) and crash-safe resume, plus chaos-policy injection for
@@ -41,8 +40,7 @@ from .executors import (DEFAULT_EXECUTOR, Executor, PoolExecutor,
 # Imported after .executors: repro.core must initialize before repro.runtime
 # (runtime.messages reaches back into core.sequences).
 from ..runtime.chaos import ChaosPolicy, FaultInjection, chaos_scope
-from .facade import (execute, execute_grouped, execute_many,
-                     execute_resilient, iter_execute, plan_request)
+from .facade import execute, iter_execute, plan_request
 from .planner import ExecutionPlan, batched_ineligibility, plan_run
 from .registries import (ParamSpec, RegistryEntry, RegistryError,
                          adversary_names, adversary_registry, build_adversary,
@@ -57,8 +55,7 @@ from .sweep import (CheckpointScan, compact_checkpoint, iter_sweep,
 __all__ = [
     "RunRequest", "RunReport", "SweepSpec", "AUTO", "ENGINE_CHOICES",
     "SEED_POLICIES", "derive_seed",
-    "execute", "execute_many", "execute_grouped", "execute_resilient",
-    "iter_execute", "plan_request",
+    "execute", "iter_execute", "plan_request",
     "ExecutionPlan", "plan_run", "batched_ineligibility",
     "Executor", "SerialExecutor", "PoolExecutor", "SupervisedExecutor",
     "executor_registry", "executor_names", "build_executor",

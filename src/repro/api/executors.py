@@ -15,12 +15,10 @@ machinery as the protocol/adversary registries):
 
 ``serial``
     In-process, one request at a time, reports streamed in submission order.
-    The substrate of ``execute`` and every fallback path.
 ``pool``
-    The process-pool sweep executor previously hard-coded inside
-    ``execute_many``: one worker per request slot (each request carries
-    its own engine choice), completion-order streaming, and clean
-    degradation to serial for single requests / one-worker pools /
+    The process-pool executor: one worker per request slot (each request
+    carries its own engine choice), completion-order streaming, and clean
+    degradation to in-process runs for single requests / one-worker pools /
     platforms without process spawning.
 ``supervised``
     The resilient backend: every run is supervised
@@ -31,19 +29,21 @@ machinery as the protocol/adversary registries):
 
 Requests are executed exactly as :func:`repro.api.facade.execute` would —
 same planner, same reports — so swapping backends never changes results,
-only where the work happens.
+only where the work happens.  :func:`repro.api.facade.iter_execute` is the
+one caller outside this module that submits to an executor and drains it.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures import wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Set,
+                    Tuple, Union)
 
 from ..core.engine import BATCHED, FAST
 from ..runtime.chaos import build_chaos, chaos_scope, current_chaos
@@ -107,20 +107,30 @@ class Executor:
         self.close()
 
 
+def _run_in_process(request: RunRequest) -> RunReport:
+    """Run *request* in this process, exactly as the facade's ``execute`` does.
+
+    The one in-process run behind every backend: the serial executor, each
+    pool worker and the pool's in-process fallback, and the supervised
+    ladder's ``batched`` rung.
+    """
+    from .facade import execute
+    return execute(request)
+
+
+#: What a pool worker runs: a module-level name, so tests can make pool
+#: workers die or hang while the in-process paths stay intact.
+_execute_for_pool = _run_in_process
+
+
 class SerialExecutor(Executor):
     """In-process execution, streamed in submission order."""
 
     name = "serial"
 
     def iter_reports(self) -> Iterator[Tuple[int, RunReport]]:
-        from .facade import execute
         for index, request in self._take_pending():
-            yield index, execute(request)
-
-
-def _execute_for_pool(request: RunRequest) -> RunReport:
-    from .facade import execute
-    return execute(request)
+            yield index, _run_in_process(request)
 
 
 def _chaos_exit_worker(request: RunRequest) -> RunReport:  # pragma: no cover
@@ -129,13 +139,12 @@ def _chaos_exit_worker(request: RunRequest) -> RunReport:  # pragma: no cover
 
 
 class PoolExecutor(Executor):
-    """Process-pool sweeps: one worker slot per request, completion-order stream.
+    """Process-pool execution: one worker slot per request, completion order.
 
     Workers re-plan each request locally, so eligible EIG cells compound
-    whole-run batched stepping with cross-cell process parallelism — exactly
-    the behaviour ``execute_many`` always had, now streamable.  Degrades to
-    serial execution for a single pending request, an effective worker count
-    of one, or platforms that cannot spawn a process pool.
+    whole-run batched stepping with cross-cell process parallelism.  Runs
+    in process instead for a single pending request, an effective worker
+    count of one, or platforms that cannot spawn a process pool.
 
     A worker that *dies* mid-run (OOM kill, a segfault in an extension,
     ``os._exit``) poisons the whole :class:`ProcessPoolExecutor`: every
@@ -159,74 +168,68 @@ class PoolExecutor(Executor):
         self.max_workers = max_workers
 
     def iter_reports(self) -> Iterator[Tuple[int, RunReport]]:
-        from .facade import execute
         pending = self._take_pending()
-        if not pending:
-            return
-        workers = max(1, min(self.max_workers or os.cpu_count() or 1,
-                             len(pending)))
-        if workers == 1 or len(pending) == 1:
-            # A one-worker pool is serial execution plus fork overhead.
-            for index, request in pending:
-                yield index, execute(request)
-            return
-        try:
-            pool = ProcessPoolExecutor(max_workers=workers)
-        except (OSError, PermissionError):  # pragma: no cover - sandboxes
-            for index, request in pending:
-                yield index, execute(request)
-            return
-        delivered = set()
-        broken_error: Optional[BaseException] = None
-        controller = current_chaos()
-        with pool:
+        workers = min(self.max_workers or os.cpu_count() or 1, len(pending))
+        pool = None
+        if workers > 1:
             try:
-                futures = {}
-                for index, request in pending:
-                    worker = self._worker
-                    if controller is not None and any(
-                            fault.kind == "pool-worker-kill"
-                            for fault in controller.take("pool-request",
-                                                         index=index)):
-                        worker = _chaos_exit_worker
-                    futures[pool.submit(worker, request)] = index
+                pool = ProcessPoolExecutor(max_workers=workers)
             except (OSError, PermissionError):  # pragma: no cover - sandboxes
-                pool.shutdown(wait=False)
-                for index, request in pending:
-                    yield index, execute(request)
-                return
-            outstanding = set(futures)
-            while outstanding and broken_error is None:
-                done, outstanding = wait(outstanding,
-                                         return_when=FIRST_COMPLETED)
-                for future in done:
-                    try:
-                        report = future.result()
-                    except BrokenProcessPool as exc:
-                        broken_error = exc
-                        continue
-                    delivered.add(futures[future])
-                    yield futures[future], report
-        if broken_error is not None:
-            for index, request in pending:
-                if index in delivered:
-                    continue
-                report = execute(request)
+                pass
+        delivered: Set[int] = set()
+        broken_error: Optional[BaseException] = None
+        if pool is not None:
+            with pool:
+                futures = self._submit(pool, pending)
+                outstanding = set(futures)
+                while outstanding and broken_error is None:
+                    done, outstanding = wait(outstanding,
+                                             return_when=FIRST_COMPLETED)
+                    for future in done:
+                        try:
+                            report = future.result()
+                        except BrokenProcessPool as exc:
+                            broken_error = exc
+                            continue
+                        delivered.add(futures[future])
+                        yield futures[future], report
+        # What the pool did not deliver runs here: everything when one
+        # worker suffices (a one-worker pool is serial execution plus fork
+        # overhead) or no pool can start, and the requests a dead worker
+        # stranded, retried once with the recovery on their reports.
+        for index, request in pending:
+            if index in delivered:
+                continue
+            report = _run_in_process(request)
+            if broken_error is not None:
                 report.metadata.setdefault("resilience", []).append(
                     pool_retry_record(attempt=2, error=broken_error,
                                       fallback="serial"))
-                yield index, report
+            yield index, report
+
+    def _submit(self, pool: ProcessPoolExecutor,
+                pending: List[Tuple[int, RunRequest]]) -> Dict[Future, int]:
+        """Hand every pending request to *pool*; ``{}`` if the platform refuses."""
+        controller = current_chaos()
+        futures = {}
+        try:
+            for index, request in pending:
+                worker = self._worker
+                if controller is not None and any(
+                        fault.kind == "pool-worker-kill"
+                        for fault in controller.take("pool-request",
+                                                     index=index)):
+                    worker = _chaos_exit_worker
+                futures[pool.submit(worker, request)] = index
+        except (OSError, PermissionError):  # pragma: no cover - sandboxes
+            pool.shutdown(wait=False)
+            return {}
+        return futures
 
 
 # ---------------------------------------------------------------------------
 # The supervised executor: a degradation ladder over the other backends.
 # ---------------------------------------------------------------------------
-
-def _rung_batched(request: RunRequest) -> RunReport:
-    """Single-process execution exactly as the facade plans it."""
-    from .facade import execute
-    return execute(request)
-
 
 def _rung_pool(request: RunRequest,
                deadline: Optional[float]) -> RunReport:
@@ -322,7 +325,7 @@ class SupervisedExecutor(Executor):
 
     def _rungs(self, request: RunRequest):
         thunks = {
-            "batched": lambda: _rung_batched(request),
+            "batched": lambda: _run_in_process(request),
             "pool": lambda: _rung_pool(request, self.deadline),
             "serial": lambda: _rung_serial(request),
         }
@@ -355,7 +358,7 @@ def _executor_entries() -> Tuple[RegistryEntry, ...]:
             doc="in-process, one request at a time, submission order"),
         RegistryEntry(
             "pool", PoolExecutor,
-            doc="process pool across requests (the execute_many substrate)",
+            doc="process pool across requests, one worker per request slot",
             params=(ParamSpec(
                 "max_workers", int,
                 doc="worker processes (default: one per CPU, capped at the "
@@ -435,3 +438,24 @@ def resolve_executor(executor: ExecutorSpec,
                 "executor instance")
         return executor, False
     return build_executor(executor or DEFAULT_EXECUTOR, params), True
+
+
+@contextmanager
+def open_executor(executor: ExecutorSpec, spec: Any = None
+                  ) -> Iterator[Executor]:
+    """Yield the executor to run on, closing it afterwards if built here.
+
+    *executor* is resolved as :func:`resolve_executor` does, except that
+    ``None`` defers to *spec* — a sweep or campaign carrying its own
+    ``executor``/``executor_params`` — when one is given.
+    """
+    if executor is None and spec is not None and spec.executor:
+        runner, owned = resolve_executor(spec.executor,
+                                         dict(spec.executor_params))
+    else:
+        runner, owned = resolve_executor(executor)
+    try:
+        yield runner
+    finally:
+        if owned:
+            runner.close()

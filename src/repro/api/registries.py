@@ -22,14 +22,13 @@ parameter mapping against the schema before instantiating, so a malformed
 
 The reverse direction, :func:`request_fields_for_spec`, recovers the
 ``(name, params)`` description of a live :class:`ProtocolSpec` instance —
-this is how the experiment harness converts its spec-carrying
-:class:`~repro.experiments.harness.ExperimentCell` objects into serializable
-requests.
+this is how the experiment harness turns the spec objects of its baseline
+comparison (E9) into serializable requests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..adversary import Adversary

@@ -23,13 +23,14 @@ The faulty set can be given two ways, mirroring how the harness works:
 from __future__ import annotations
 
 import hashlib
-import operator
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..core.protocol import ProtocolConfig
 from ..core.values import DEFAULT_VALUE, Value, default_domain
-from ..runtime.errors import ConfigurationError
+from ..runtime.errors import (ConfigurationError, boolean_field,
+                              decoded_fields, integer_field, list_field,
+                              object_field)
 
 #: Engine choices a request accepts: the planner sentinel ``"auto"``, the
 #: batched whole-run executor, and the three per-processor engines.
@@ -60,22 +61,6 @@ def derive_seed(sweep_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
 
 
-def _integer_field(name: str, value: Any) -> int:
-    """*value* as a plain ``int``, or a :class:`ConfigurationError` naming *name*.
-
-    Accepts exactly what :func:`operator.index` accepts except ``bool``: a
-    float, a numeric string, or ``True`` is a malformed request, not a
-    processor id or seed to coerce.
-    """
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ConfigurationError(
-        f"RunRequest field {name!r} must be an integer, got {value!r}")
-
-
 def _int_keyed(mapping: Mapping[Any, Any], convert) -> Dict[int, Any]:
     """Rebuild a JSON-stringified int-keyed mapping with *convert* on values."""
     return {int(key): convert(value) for key, value in mapping.items()}
@@ -102,19 +87,19 @@ class RunRequest:
     allow_unsafe: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "protocol_params", dict(self.protocol_params))
-        object.__setattr__(self, "adversary_params", dict(self.adversary_params))
-        object.__setattr__(self, "domain", tuple(self.domain))
-        for name in ("n", "t", "source", "seed"):
+        owner = "RunRequest"
+        for name in ("protocol_params", "adversary_params"):
             object.__setattr__(self, name,
-                               _integer_field(name, getattr(self, name)))
+                               object_field(owner, name, getattr(self, name)))
+        object.__setattr__(self, "domain",
+                           list_field(owner, "domain", self.domain))
+        for name in ("n", "t", "source", "seed"):
+            object.__setattr__(self, name, integer_field(
+                owner, name, getattr(self, name)))
+        boolean_field(owner, "allow_unsafe", self.allow_unsafe)
         if self.faulty is not None:
-            try:
-                faulty = [_integer_field("faulty", pid) for pid in self.faulty]
-            except TypeError:
-                raise ConfigurationError(
-                    f"RunRequest field 'faulty' must be a list of processor "
-                    f"ids, got {self.faulty!r}") from None
+            faulty = [integer_field(owner, "faulty", pid)
+                      for pid in list_field(owner, "faulty", self.faulty)]
             if len(set(faulty)) != len(faulty):
                 raise ConfigurationError(
                     f"RunRequest field 'faulty' repeats a processor id: "
@@ -202,16 +187,7 @@ class RunRequest:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunRequest":
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416 - py3.8 compat
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown RunRequest field(s) {sorted(unknown)}; "
-                f"accepted: {sorted(known)}")
-        kwargs = dict(data)
-        if "domain" in kwargs:
-            kwargs["domain"] = tuple(kwargs["domain"])
-        return cls(**kwargs)
+        return cls(**decoded_fields(cls, data, "RunRequest"))
 
 
 @dataclass(frozen=True)
@@ -239,9 +215,13 @@ class SweepSpec:
     sweep_seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "requests", tuple(self.requests))
-        object.__setattr__(self, "executor_params",
-                           dict(self.executor_params))
+        owner = "SweepSpec"
+        object.__setattr__(self, "requests",
+                           list_field(owner, "requests", self.requests))
+        object.__setattr__(self, "executor_params", object_field(
+            owner, "executor_params", self.executor_params))
+        object.__setattr__(self, "sweep_seed",
+                           integer_field(owner, "sweep_seed", self.sweep_seed))
         for request in self.requests:
             if not isinstance(request, RunRequest):
                 raise ConfigurationError(
@@ -270,21 +250,12 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown SweepSpec field(s) {sorted(unknown)}; "
-                f"accepted: {sorted(known)}")
-        requests = data.get("requests")
-        if not isinstance(requests, Sequence) or isinstance(requests, str):
-            raise ConfigurationError(
-                "a serialized sweep needs a \"requests\" list")
-        kwargs = dict(data)
+        kwargs = decoded_fields(cls, data, "SweepSpec")
         kwargs["requests"] = tuple(
             request if isinstance(request, RunRequest)
             else RunRequest.from_dict(request)
-            for request in requests)
+            for request in list_field("SweepSpec", "requests",
+                                      kwargs["requests"]))
         return cls(**kwargs)
 
 

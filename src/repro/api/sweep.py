@@ -38,7 +38,8 @@ from ..runtime.chaos import chaos_scope, current_chaos
 from ..runtime.errors import CheckpointWriteError, ConfigurationError
 from ..runtime.supervision import RetryPolicy, checkpoint_retry_event
 from .durable import DurableLog, LogFormat
-from .executors import ExecutorSpec, resolve_executor
+from .executors import ExecutorSpec, open_executor
+from .facade import iter_execute
 from .request import RunReport, SweepSpec
 
 CHECKPOINT_KIND = "repro-sweep-checkpoint"
@@ -210,36 +211,24 @@ def iter_sweep(spec: SweepSpec, checkpoint: Optional[str] = None,
         completed = read_checkpoint(checkpoint, spec)
     for index in sorted(completed):
         yield index, completed[index]
-    remaining = [(i, request) for i, request in enumerate(requests)
-                 if i not in completed]
+    remaining = [i for i in range(len(requests)) if i not in completed]
     if not remaining:
         return
 
-    if executor is None and spec.executor:
-        runner, owned = resolve_executor(spec.executor,
-                                         dict(spec.executor_params))
-    else:
-        runner, owned = resolve_executor(executor)
     log = _checkpoint(checkpoint, spec, fsync) if checkpoint else None
-    with chaos_scope(chaos):
+    with open_executor(executor, spec) as runner, chaos_scope(chaos):
         try:
             if log is not None:
                 log.open(resume)
-            submitted = {}
-            for index, request in remaining:
-                submitted[runner.submit(request)] = index
-            write_counter = 0
-            for ticket, report in runner.iter_reports():
-                index = submitted[ticket]
+            streamed = iter_execute([requests[i] for i in remaining], runner)
+            for write_counter, (position, report) in enumerate(streamed):
+                index = remaining[position]
                 if log is not None:
                     _append_completion(log, index, report, write_counter)
-                    write_counter += 1
                 yield index, report
         finally:
             if log is not None:
                 log.close()
-            if owned:
-                runner.close()
 
 
 def run_sweep(spec: SweepSpec, checkpoint: Optional[str] = None,

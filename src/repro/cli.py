@@ -1,6 +1,8 @@
 """Command-line interface: declarative runs, sweeps, serving, and tables.
 
-Eight subcommands, all built on the :mod:`repro.api` façade:
+Eight subcommands, all built on the :mod:`repro.api` façade; the four
+that run more than one request (``sweep``, ``search``, ``mc`` and
+``experiments``) all run them through :func:`repro.api.iter_execute`:
 
 ``repro run``
     Execute one agreement instance described by flags (protocol, parameters,
@@ -12,7 +14,9 @@ Eight subcommands, all built on the :mod:`repro.api` façade:
     Execute a JSON file of serialized :class:`~repro.api.request.RunRequest`
     objects (or a whole :class:`~repro.api.request.SweepSpec`; ``-`` reads
     stdin) on a chosen executor backend — ``--executor
-    {serial,pool,supervised}`` — with optional durability:
+    {serial,pool,supervised}``, the one backend selector (default: the
+    sweep file's own choice, else the process pool) — with optional
+    durability:
     ``--checkpoint out.jsonl`` appends one JSON line per completed request
     as it finishes (header created atomically; ``--fsync`` adds an fsync
     per line), and ``--resume`` replays the log after a crash,
@@ -184,8 +188,6 @@ def _parser() -> argparse.ArgumentParser:
                        default=None,
                        help="execution backend (default: the sweep file's "
                             "choice, else the process pool)")
-    sweep.add_argument("--serial", action="store_true",
-                       help="alias for --executor serial")
     sweep.add_argument("--max-workers", type=int, default=None,
                        help="worker processes for the pool executor")
     sweep.add_argument("--max-attempts", type=int, default=None,
@@ -489,8 +491,6 @@ def _sweep_executor(args: argparse.Namespace, spec: SweepSpec):
     backend is an error rather than a silently dropped option.
     """
     name = args.executor
-    if name is None and args.serial:
-        name = "serial"
     if name is None and (args.max_attempts is not None
                          or args.deadline is not None):
         name = "supervised"

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache as _lru_cache
-from typing import Dict, Hashable, List
+from typing import Dict, List
 
 from .values import BOTTOM, DEFAULT_VALUE, Value
 

@@ -30,9 +30,9 @@ from .fault_masking import (discover_and_mask, gather_level_flat,
 from .protocol import AgreementProtocol, ProtocolConfig
 from .resolve import flat_resolve_levels, numpy_resolve_levels, resolve_all
 from .sequences import LabelSequence, ProcessorId
-from .tree import InfoGatheringTree, make_tree
+from .tree import make_tree
 from .values import DEFAULT_VALUE, Value, coerce_value, is_bottom
-from ..runtime.errors import ConfigurationError, ProtocolViolationError
+from ..runtime.errors import ConfigurationError
 from ..runtime.messages import (Inbox, Message, Outbox, broadcast,
                                 broadcast_message)
 

@@ -20,7 +20,7 @@ level.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .sequences import (LabelSequence, ProcessorId, SequenceIndex,
                         child_labels, sequence_index)

@@ -11,7 +11,7 @@ diff two JSON lint reports or commit one as a baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Mapping, Tuple
 
 from ..runtime.errors import ConfigurationError

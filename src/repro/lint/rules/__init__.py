@@ -19,6 +19,7 @@ from .determinism import (
 )
 from .durability import HandRolledDurabilityRule
 from .errors import BroadExceptRule, SwallowedFailstopRule
+from .imports import UnusedImportRule
 
 _RULE_CLASSES = (
     GlobalRngRule,
@@ -30,6 +31,7 @@ _RULE_CLASSES = (
     SwallowedFailstopRule,
     BroadExceptRule,
     HandRolledDurabilityRule,
+    UnusedImportRule,
 )
 
 

@@ -26,7 +26,7 @@ import ast
 from typing import Dict, Iterator, Optional
 
 from ..findings import Finding
-from ..symbols import ModuleInfo, Project
+from ..symbols import Project
 from .base import Rule, enclosing_map
 
 #: ``random`` module functions that draw from (or mutate) the hidden

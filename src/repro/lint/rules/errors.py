@@ -12,7 +12,7 @@ every broad handler needs either a re-raise or a written justification.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from ..findings import Finding
 from ..symbols import ModuleInfo, Project

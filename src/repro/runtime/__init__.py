@@ -11,7 +11,7 @@ from .errors import (AdversaryError, CheckpointWriteError, ConfigurationError,
 from .messages import Inbox, Message, Outbox, broadcast
 from .metrics import ComputationMeter, CostModelPoint, RunMetrics, entry_bits
 from .network import SynchronousNetwork
-from .simulation import RunResult, choose_faulty, run_agreement, run_many
+from .simulation import RunResult, choose_faulty, run_agreement
 from .supervision import (DEFAULT_LADDER, RetryPolicy, Supervisor,
                           backoff_fraction)
 
@@ -47,6 +47,5 @@ __all__ = [
     "SynchronousNetwork",
     "RunResult",
     "run_agreement",
-    "run_many",
     "choose_faulty",
 ]

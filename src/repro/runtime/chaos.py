@@ -54,10 +54,10 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, decoded_fields, integer_field
 
 #: Every injectable fault kind, mapped to the site where it fires.
 KIND_SITES: Dict[str, str] = {
@@ -82,10 +82,17 @@ class FaultInjection:
     times: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in KIND_SITES:
+        # Against the name tuple: an unhashable kind is unknown, not a
+        # TypeError from the dict lookup.
+        if self.kind not in tuple(KIND_SITES):
             raise ConfigurationError(
                 f"unknown chaos fault kind {self.kind!r}; known: "
                 f"{sorted(KIND_SITES)}")
+        if self.index is not None:
+            object.__setattr__(self, "index", integer_field(
+                "chaos fault", "index", self.index))
+        object.__setattr__(self, "times",
+                           integer_field("chaos fault", "times", self.times))
         if self.times < 1:
             raise ConfigurationError(
                 f"a chaos fault fires at least once, got times={self.times}")
@@ -104,16 +111,7 @@ class FaultInjection:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultInjection":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown chaos fault field(s) {sorted(unknown)}; "
-                f"accepted: {sorted(known)}")
-        if "kind" not in data:
-            raise ConfigurationError(
-                "a chaos fault needs a \"kind\" field")
-        return cls(**dict(data))
+        return cls(**decoded_fields(cls, data, "chaos fault"))
 
 
 POLICY_KIND = "repro-chaos-policy"

@@ -12,7 +12,7 @@ metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from ..adversary.base import Adversary, AdversaryContext, BenignAdversary
 from ..core.engine import BATCHED
@@ -224,11 +224,3 @@ def run_agreement(spec: ProtocolSpec, config: ProtocolConfig,
         discovery_logs=discovery_logs,
     )
 
-
-def run_many(spec: ProtocolSpec, config: ProtocolConfig,
-             scenarios: Sequence[Tuple[Iterable[ProcessorId], Adversary]],
-             seed: int = 0) -> Tuple[RunResult, ...]:
-    """Run the same protocol/config under several (faulty set, adversary) pairs."""
-    return tuple(run_agreement(spec, config, faulty, adversary,
-                               seed=seed + index)
-                 for index, (faulty, adversary) in enumerate(scenarios))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from ..api.facade import iter_execute
 from ..api.executors import ExecutorSpec

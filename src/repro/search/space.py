@@ -31,7 +31,8 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..api.registries import adversary_registry, protocol_registry
 from ..api.request import RunRequest
 from ..core.values import Value, default_domain
-from ..runtime.errors import ConfigurationError
+from ..runtime.errors import (ConfigurationError, boolean_field,
+                              decoded_fields, integer_field, list_field)
 
 STRATEGIES = ("random", "anneal")
 
@@ -60,13 +61,24 @@ class SearchSpec:
     initial_values: Tuple[Value, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "protocols", tuple(self.protocols))
-        object.__setattr__(self, "cells",
-                           tuple((int(n), int(t)) for n, t in self.cells))
-        object.__setattr__(self, "adversaries", tuple(self.adversaries))
-        object.__setattr__(self, "domain", tuple(self.domain))
-        object.__setattr__(self, "initial_values",
-                           tuple(self.initial_values))
+        owner = "SearchSpec"
+        for name in ("protocols", "adversaries", "domain", "initial_values"):
+            object.__setattr__(self, name,
+                               list_field(owner, name, getattr(self, name)))
+        cells = []
+        for cell in list_field(owner, "cells", self.cells):
+            pair = list_field(owner, "cells", cell)
+            if len(pair) != 2:
+                raise ConfigurationError(
+                    f"SearchSpec field 'cells' holds (n, t) pairs, got "
+                    f"{cell!r}")
+            cells.append(tuple(integer_field(owner, "cells", v)
+                               for v in pair))
+        object.__setattr__(self, "cells", tuple(cells))
+        for name in ("budget", "sweep_seed"):
+            object.__setattr__(self, name, integer_field(
+                owner, name, getattr(self, name)))
+        boolean_field(owner, "allow_unsafe", self.allow_unsafe)
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(
                 f"unknown search strategy {self.strategy!r}; expected one "
@@ -76,14 +88,18 @@ class SearchSpec:
         if not self.protocols or not self.cells:
             raise ConfigurationError(
                 "a search needs at least one protocol and one (n, t) cell")
-        unknown = set(self.protocols) - set(protocol_registry())
+        # Compared against the name tuples, not looked up: a malformed entry
+        # (a list, an object) is an unknown name, not an unhashable key.
+        unknown = [name for name in self.protocols
+                   if name not in tuple(protocol_registry())]
         if unknown:
             raise ConfigurationError(
-                f"unknown protocol(s) {sorted(unknown)} in search spec")
-        unknown = set(self.adversaries) - set(adversary_registry())
+                f"unknown protocol(s) {unknown} in search spec")
+        unknown = [name for name in self.adversaries
+                   if name not in tuple(adversary_registry())]
         if unknown:
             raise ConfigurationError(
-                f"unknown adversar(ies) {sorted(unknown)} in search spec")
+                f"unknown adversar(ies) {unknown} in search spec")
 
     def adversary_pool(self) -> Tuple[str, ...]:
         if self.adversaries:
@@ -110,16 +126,7 @@ class SearchSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SearchSpec":
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown SearchSpec field(s) {sorted(unknown)}; "
-                f"accepted: {sorted(known)}")
-        kwargs = dict(data)
-        if "cells" in kwargs:
-            kwargs["cells"] = tuple(tuple(cell) for cell in kwargs["cells"])
-        return cls(**kwargs)
+        return cls(**decoded_fields(cls, data, "SearchSpec"))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..api.durable import DurableLog, LogFormat
-from ..api.executors import ExecutorSpec, resolve_executor
+from ..api.executors import ExecutorSpec, open_executor
+from ..api.facade import iter_execute
 from ..api.request import RunReport
 from ..runtime.errors import ConfigurationError
 from .cells import CellAggregate
@@ -180,8 +181,9 @@ def run_mc(spec: McSpec, checkpoint: Optional[str] = None,
     *executor* overrides the spec's backend choice (an
     :class:`~repro.api.executors.Executor` instance or registry name);
     ``None`` builds the spec's own ``executor``/``executor_params``.  One
-    executor instance is built for the whole campaign and reused across
-    chunks, so pool workers spawn once, not once per chunk.
+    executor instance serves the whole campaign, one
+    :func:`~repro.api.facade.iter_execute` call per chunk (the ``pool``
+    backend still starts its worker processes once per chunk).
 
     *max_chunks* bounds how many chunks this invocation executes — an
     operational aid for slicing very long campaigns across sessions (the
@@ -212,42 +214,34 @@ def run_mc(spec: McSpec, checkpoint: Optional[str] = None,
         return McResult(spec=spec, state=state, complete=True, executed=0,
                         elapsed_seconds=0.0, resumed_trials=resumed_trials)
 
-    if executor is None and spec.executor:
-        runner, owned = resolve_executor(spec.executor,
-                                         dict(spec.executor_params))
-    else:
-        runner, owned = resolve_executor(executor)
     end_chunk = spec.total_chunks
     if max_chunks is not None:
         end_chunk = min(end_chunk, start_chunk + max(0, max_chunks))
-    try:
-        if log is not None:
-            log.open(resume)
-        for chunk in range(start_chunk, end_chunk):
-            indices = spec.chunk_indices(chunk)
-            tickets: Dict[int, int] = {}
-            for global_index in indices:
-                tickets[runner.submit(spec.trial_request(global_index))] = \
-                    global_index
-            completions: Dict[int, RunReport] = {}
-            for ticket, report in runner.iter_reports():
-                completions[tickets[ticket]] = report
-            if len(completions) != len(indices):  # pragma: no cover
-                raise ConfigurationError(
-                    f"chunk {chunk} drained {len(completions)} of "
-                    f"{len(indices)} trials")
-            state.fold(spec, completions)
-            executed += len(indices)
+    with open_executor(executor, spec) as runner:
+        try:
             if log is not None:
-                log.append({"chunk": chunk, "trials_done": state.trials_done,
-                            "state": state.to_dict()})
-            if progress is not None:
-                progress(chunk, state.trials_done, total)
-    finally:
-        if log is not None:
-            log.close()
-        if owned:
-            runner.close()
+                log.open(resume)
+            for chunk in range(start_chunk, end_chunk):
+                indices = spec.chunk_indices(chunk)
+                completions: Dict[int, RunReport] = {
+                    indices[position]: report
+                    for position, report in iter_execute(
+                        (spec.trial_request(i) for i in indices), runner)}
+                if len(completions) != len(indices):  # pragma: no cover
+                    raise ConfigurationError(
+                        f"chunk {chunk} drained {len(completions)} of "
+                        f"{len(indices)} trials")
+                state.fold(spec, completions)
+                executed += len(indices)
+                if log is not None:
+                    log.append({"chunk": chunk,
+                                "trials_done": state.trials_done,
+                                "state": state.to_dict()})
+                if progress is not None:
+                    progress(chunk, state.trials_done, total)
+        finally:
+            if log is not None:
+                log.close()
     # repro-lint: waive[determinism/wall-clock] -- feeds elapsed_seconds
     # only, which is diagnostic: aggregates and checkpoints never read it
     elapsed = time.perf_counter() - started

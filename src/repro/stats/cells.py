@@ -29,7 +29,8 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from ..analysis.bounds import TheoremBound, protocol_bound
 from ..api.request import RunReport
 from ..core.values import Value, default_domain
-from ..runtime.errors import ConfigurationError
+from ..runtime.errors import (ConfigurationError, boolean_field,
+                              decoded_fields, integer_field, object_field)
 from .aggregators import BoundedHistogram, Extrema, Welford
 from .intervals import wilson_interval
 
@@ -79,10 +80,17 @@ class McCell:
     engine: str = "auto"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "protocol_params",
-                           dict(self.protocol_params))
-        object.__setattr__(self, "adversary_params",
-                           dict(self.adversary_params))
+        owner = "McCell"
+        for name in ("protocol_params", "adversary_params"):
+            object.__setattr__(self, name,
+                               object_field(owner, name, getattr(self, name)))
+        for name in ("n", "t"):
+            object.__setattr__(self, name, integer_field(
+                owner, name, getattr(self, name)))
+        if self.faults is not None:
+            object.__setattr__(self, "faults",
+                               integer_field(owner, "faults", self.faults))
+        boolean_field(owner, "allow_unsafe", self.allow_unsafe)
         if self.source_placement not in SOURCE_PLACEMENTS:
             raise ConfigurationError(
                 f"unknown source placement {self.source_placement!r}; "
@@ -127,13 +135,7 @@ class McCell:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "McCell":
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown McCell field(s) {sorted(unknown)}; "
-                f"accepted: {sorted(known)}")
-        return cls(**dict(data))
+        return cls(**decoded_fields(cls, data, "McCell"))
 
 
 class CellAggregate:

@@ -29,10 +29,11 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Sequence, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 from ..api.request import RunRequest, derive_seed
-from ..runtime.errors import ConfigurationError
+from ..runtime.errors import (ConfigurationError, decoded_fields,
+                              integer_field, list_field, object_field)
 from .cells import McCell
 
 
@@ -62,9 +63,14 @@ class McSpec:
     chunk_size: int = 256
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", tuple(self.cells))
-        object.__setattr__(self, "executor_params",
-                           dict(self.executor_params))
+        owner = "McSpec"
+        object.__setattr__(self, "cells",
+                           list_field(owner, "cells", self.cells))
+        object.__setattr__(self, "executor_params", object_field(
+            owner, "executor_params", self.executor_params))
+        for name in ("trials", "sweep_seed", "chunk_size"):
+            object.__setattr__(self, name, integer_field(
+                owner, name, getattr(self, name)))
         if not self.cells:
             raise ConfigurationError("a campaign needs at least one cell")
         for cell in self.cells:
@@ -146,20 +152,10 @@ class McSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "McSpec":
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown McSpec field(s) {sorted(unknown)}; "
-                f"accepted: {sorted(known)}")
-        cells = data.get("cells")
-        if not isinstance(cells, Sequence) or isinstance(cells, str):
-            raise ConfigurationError(
-                "a serialized campaign needs a \"cells\" list")
-        kwargs = dict(data)
+        kwargs = decoded_fields(cls, data, "McSpec")
         kwargs["cells"] = tuple(
             cell if isinstance(cell, McCell) else McCell.from_dict(cell)
-            for cell in cells)
+            for cell in list_field("McSpec", "cells", kwargs["cells"]))
         return cls(**kwargs)
 
 

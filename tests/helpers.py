@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+from repro.api import SupervisedExecutor, iter_execute
 from repro.core.protocol import ProtocolConfig
 from repro.experiments.workloads import standard_scenarios
 from repro.runtime.simulation import run_agreement
@@ -43,6 +44,17 @@ def assert_battery_correct(spec_factory, n: int, t: int, initial_value=1,
         count += 1
     assert count > 0
     return count
+
+
+def run_supervised(request, **options):
+    """Run one request on a ``SupervisedExecutor`` through ``iter_execute``.
+
+    *options* are the executor's constructor arguments (``ladder``,
+    ``max_attempts``, ``deadline``, ``chaos``, ...).
+    """
+    with SupervisedExecutor(**options) as runner:
+        [(_, report)] = iter_execute([request], runner)
+    return report
 
 
 @contextmanager

@@ -1,7 +1,5 @@
 """Tests for the analysis layer: bounds, Coan model, trade-off, checkers, reporting."""
 
-import pytest
-
 from repro.analysis import (check_agreement, check_message_bound, check_round_bound,
                             check_validity, coan_curve, coan_local_computation,
                             coan_rounds, comparison_rows, dominance_table,

@@ -16,7 +16,7 @@ import pytest
 
 from repro.api import (RunReport, RunRequest, RegistryError, adversary_names,
                        adversary_registry, build_adversary, build_protocol,
-                       execute, execute_many, plan_request, protocol_names,
+                       execute, plan_request, protocol_names,
                        protocol_registry, request_fields_for_spec)
 from repro.api import planner as planner_module
 from repro.core import engine as engine_module
@@ -319,31 +319,6 @@ class TestOverlappingRuns:
         assert_same_outcome(after, reports["reference"])
 
 
-class TestExecuteMany:
-    def test_parallel_matches_serial(self):
-        requests = [small_request("exponential", adversary)
-                    for adversary in ("silent", "two-faced-source",
-                                      "equivocating-source-allies")]
-        serial = execute_many(requests, parallel=False)
-        parallel = execute_many(requests, parallel=True, max_workers=2)
-        assert len(parallel) == len(serial)
-        for pooled, expected in zip(parallel, serial):
-            assert_same_outcome(pooled, expected)
-            assert (pooled.engine, pooled.engine_resolved,
-                    pooled.metadata) == (expected.engine,
-                                         expected.engine_resolved,
-                                         expected.metadata)
-
-    def test_empty_input(self):
-        assert execute_many([]) == []
-
-    def test_order_preserved(self):
-        requests = [small_request("exponential", "silent"),
-                    small_request("algorithm-c", "silent")]
-        reports = execute_many(requests, parallel=True)
-        assert [r.protocol for r in reports] == ["exponential", "algorithm-c"]
-
-
 class TestVerifyReport:
     def test_matches_verify_run(self):
         from repro.analysis.checkers import verify_report, verify_run
@@ -358,16 +333,15 @@ class TestVerifyReport:
                 == verify_run(result, round_bound=3, message_bound=10))
 
 
-class TestExperimentCellBridge:
-    def test_cell_converts_to_equivalent_request(self):
-        from repro.experiments import ExperimentCell, run_cell
+class TestSpecToRequest:
+    def test_spec_converts_to_an_equivalent_request(self):
         spec = build_protocol("hybrid", {"b": 3})
-        cell = ExperimentCell(spec=spec, n=10, t=3, battery="worst-case",
-                              scenario="faulty-source-allies")
-        request = cell.to_request()
-        assert request.protocol == "hybrid"
-        assert request.protocol_params == {"b": 3}
-        assert request.scenario == "faulty-source-allies"
-        row = run_cell(cell)
-        assert row["protocol"] == "hybrid(b=3)"
-        assert row["succeeded"]
+        protocol, params = request_fields_for_spec(spec)
+        assert (protocol, params) == ("hybrid", {"b": 3})
+        report = execute(RunRequest(protocol=protocol, protocol_params=params,
+                                    n=10, t=3, initial_value=1,
+                                    battery="worst-case",
+                                    scenario="faulty-source-allies"))
+        assert report.protocol == "hybrid(b=3)"
+        assert report.scenario == "faulty-source-allies"
+        assert report.succeeded

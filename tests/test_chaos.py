@@ -14,14 +14,15 @@ import time
 
 import pytest
 
-from repro.api import (RunRequest, SweepSpec, execute, execute_resilient,
-                       read_checkpoint, run_sweep)
+from repro.api import (RunRequest, SweepSpec, execute, read_checkpoint,
+                       run_sweep)
 from repro.api import executors
 from repro.api.executors import PoolExecutor
 from repro.runtime.chaos import (ChaosController, ChaosPolicy, FaultInjection,
                                  build_chaos, chaos_scope, current_chaos)
 from repro.runtime.errors import (CheckpointWriteError, ConfigurationError,
                                   SupervisionExhaustedError)
+from tests.helpers import run_supervised
 from tests.parity import assert_same_outcome
 
 #: Generous wall-clock ceiling: a hang trips the assert, recovery never does.
@@ -215,9 +216,8 @@ class TestUnsurvivableChaos:
                             executors._chaos_exit_worker)
         started = time.monotonic()
         with pytest.raises(SupervisionExhaustedError, match="every rung"):
-            execute_resilient(small_request(), ladder=["pool"],
-                              deadline=30.0, max_attempts=2,
-                              base_delay=0.01)
+            run_supervised(small_request(), ladder=["pool"], deadline=30.0,
+                           max_attempts=2, base_delay=0.01)
         assert time.monotonic() - started < _NO_HANG_SECONDS
 
     def test_persistent_checkpoint_failure_raises_named_error(self, tmp_path):

@@ -172,14 +172,14 @@ class TestSweepCommand:
         return str(path)
 
     def test_sweep_prints_summary_table(self, request_file, capsys):
-        code = main(["sweep", request_file, "--serial"])
+        code = main(["sweep", request_file, "--executor", "serial"])
         out = capsys.readouterr().out
         assert code == 0
         assert "sweep of 2 requests" in out
         assert "exponential" in out and "algorithm-c" in out
 
     def test_sweep_json_reports_round_trip(self, request_file, capsys):
-        code = main(["sweep", request_file, "--serial", "--json"])
+        code = main(["sweep", request_file, "--executor", "serial", "--json"])
         assert code == 0
         reports = [RunReport.from_dict(item)
                    for item in json.loads(capsys.readouterr().out)]
@@ -190,7 +190,7 @@ class TestSweepCommand:
         code = main(["sweep", request_file, "--max-workers", "2", "--json"])
         assert code == 0
         parallel = capsys.readouterr().out
-        code = main(["sweep", request_file, "--serial", "--json"])
+        code = main(["sweep", request_file, "--executor", "serial", "--json"])
         assert code == 0
         assert json.loads(parallel) == json.loads(capsys.readouterr().out)
 
@@ -231,20 +231,12 @@ class TestSweepExecutors:
         import io
         monkeypatch.setattr("sys.stdin",
                             io.StringIO(open(request_file).read()))
-        code = main(["sweep", "-", "--serial"])
+        code = main(["sweep", "-", "--executor", "serial"])
         assert code == 0
         assert "sweep of 2 requests" in capsys.readouterr().out
 
-    def test_sweep_executor_flag_matches_serial(self, request_file, capsys):
-        code = main(["sweep", request_file, "--executor", "serial", "--json"])
-        assert code == 0
-        serial = capsys.readouterr().out
-        code = main(["sweep", request_file, "--serial", "--json"])
-        assert code == 0
-        assert json.loads(serial) == json.loads(capsys.readouterr().out)
-
     def test_sweep_supervised_executor(self, request_file, capsys):
-        code = main(["sweep", request_file, "--serial", "--json"])
+        code = main(["sweep", request_file, "--executor", "serial", "--json"])
         assert code == 0
         serial = [RunReport.from_dict(item)
                   for item in json.loads(capsys.readouterr().out)]
@@ -280,13 +272,13 @@ class TestSweepExecutors:
     def test_sweep_checkpoint_and_resume(self, request_file, tmp_path,
                                          capsys):
         checkpoint = str(tmp_path / "sweep.jsonl")
-        code = main(["sweep", request_file, "--serial",
+        code = main(["sweep", request_file, "--executor", "serial",
                      "--checkpoint", checkpoint, "--json"])
         assert code == 0
         first = json.loads(capsys.readouterr().out)
         lines = open(checkpoint).read().splitlines()
         assert len(lines) == 3  # header + 2 completions
-        code = main(["sweep", request_file, "--serial",
+        code = main(["sweep", request_file, "--executor", "serial",
                      "--checkpoint", checkpoint, "--resume", "--json"])
         assert code == 0
         assert json.loads(capsys.readouterr().out) == first
@@ -300,16 +292,17 @@ class TestSweepExecutors:
     def test_existing_checkpoint_without_resume_exits(self, request_file,
                                                       tmp_path, capsys):
         checkpoint = str(tmp_path / "sweep.jsonl")
-        assert main(["sweep", request_file, "--serial",
+        assert main(["sweep", request_file, "--executor", "serial",
                      "--checkpoint", checkpoint]) == 0
         capsys.readouterr()
         with pytest.raises(SystemExit, match="already exists"):
-            main(["sweep", request_file, "--serial",
+            main(["sweep", request_file, "--executor", "serial",
                   "--checkpoint", checkpoint])
 
     def test_mismatched_executor_parameter_flags_exit(self, request_file):
         with pytest.raises(SystemExit, match="--deadline applies"):
-            main(["sweep", request_file, "--serial", "--deadline", "5"])
+            main(["sweep", request_file, "--executor", "serial",
+                  "--deadline", "5"])
         with pytest.raises(SystemExit, match="--max-workers applies"):
             main(["sweep", request_file, "--executor", "supervised",
                   "--max-workers", "4"])
@@ -324,7 +317,7 @@ class TestSweepExecutors:
     def test_compact_rewrites_duplicates_and_torn_tail(self, request_file,
                                                        tmp_path, capsys):
         checkpoint = str(tmp_path / "sweep.jsonl")
-        assert main(["sweep", request_file, "--serial",
+        assert main(["sweep", request_file, "--executor", "serial",
                      "--checkpoint", checkpoint]) == 0
         capsys.readouterr()
         lines = open(checkpoint).read().splitlines()
@@ -344,12 +337,12 @@ class TestSweepExecutors:
         summary = json.loads(capsys.readouterr().out)
         assert summary == {"completed": 2, "duplicates_dropped": 0,
                            "torn_tail_repaired": False}
-        assert main(["sweep", request_file, "--serial",
+        assert main(["sweep", request_file, "--executor", "serial",
                      "--checkpoint", checkpoint, "--resume"]) == 0
 
     def test_compact_executes_nothing(self, request_file, tmp_path, capsys):
         checkpoint = str(tmp_path / "sweep.jsonl")
-        assert main(["sweep", request_file, "--serial",
+        assert main(["sweep", request_file, "--executor", "serial",
                      "--checkpoint", checkpoint]) == 0
         capsys.readouterr()
         before = open(checkpoint).read()

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.api import (DEFAULT_EXECUTOR, Executor, PoolExecutor, RunReport,
+from repro.api import (DEFAULT_EXECUTOR, PoolExecutor, RunReport,
                        RunRequest, SerialExecutor, SupervisedExecutor,
                        SweepSpec, RegistryError, build_executor,
                        compact_checkpoint, derive_seed, execute,
@@ -137,6 +137,38 @@ class TestIterExecute:
         executor = SerialExecutor()
         list(iter_execute(small_requests(1), executor=executor))
         executor.submit(small_requests(1)[0])  # still open
+
+    def test_positions_restart_with_each_call_on_one_instance(self):
+        # The executor numbers its tickets across calls; iter_execute must
+        # still yield each request's position within its own call.
+        requests = small_requests(3)
+        with SerialExecutor() as executor:
+            first = [position for position, _ in
+                     iter_execute(requests, executor)]
+            second = [position for position, _ in
+                      iter_execute(requests, executor)]
+        assert first == second == [0, 1, 2]
+
+    def test_pool_and_serial_match_execute_position_by_position(self):
+        requests = (small_requests(2)
+                    + small_requests(1, protocol="algorithm-c", n=14))
+        expected = [execute(request) for request in requests]
+        with PoolExecutor(max_workers=2) as pool:
+            for backend in ("serial", pool):
+                reports = dict(iter_execute(requests, backend))
+                assert sorted(reports) == [0, 1, 2]
+                for position, report in reports.items():
+                    wanted = expected[position]
+                    assert_same_outcome(report, wanted, position)
+                    assert (report.engine, report.engine_resolved,
+                            report.metadata) == (wanted.engine,
+                                                 wanted.engine_resolved,
+                                                 wanted.metadata), position
+        assert [report.protocol for report in expected] == [
+            "exponential", "exponential", "algorithm-c"]
+
+    def test_empty_input_yields_nothing(self):
+        assert list(iter_execute([], "pool")) == []
 
 
 class TestSeedDerivation:
@@ -506,38 +538,3 @@ class TestCheckpointResume:
                  iter_sweep(spec, checkpoint=path, resume=True)]
         assert order[:2] == [0, 1]
         assert sorted(order) == [0, 1, 2, 3]
-
-
-class TestFacadePinning:
-    """execute/execute_many/execute_grouped keep their exact behaviour."""
-
-    def test_execute_many_signature_and_order(self):
-        from repro.api import execute_grouped, execute_many
-        requests = small_requests(3)
-        serial = execute_many(requests, parallel=False)
-        pooled = execute_many(requests, parallel=True, max_workers=2)
-        grouped = execute_grouped([requests[:2], requests[2:]],
-                                  max_workers=2)
-        assert [len(group) for group in grouped] == [2, 1]
-        for index, request in enumerate(requests):
-            expected = execute(request)
-            for report in (serial[index], pooled[index],
-                           grouped[index // 2][index % 2]):
-                assert_same_outcome(report, expected, index)
-                assert (report.engine, report.engine_resolved,
-                        report.metadata) == (expected.engine,
-                                             expected.engine_resolved,
-                                             expected.metadata), index
-
-    def test_run_cells_accepts_an_executor(self):
-        from repro.experiments import grid_cells, run_cells
-        from repro.core.exponential import ExponentialSpec
-        cells = grid_cells([ExponentialSpec()], [(7, 2)],
-                           battery="worst-case",
-                           scenario_names=["faulty-source-allies"])
-        default = run_cells(cells, parallel=False)
-        via_serial = run_cells(cells, executor="serial")
-        assert [row["decisions"] if "decisions" in row else row["succeeded"]
-                for row in via_serial] == \
-               [row["decisions"] if "decisions" in row else row["succeeded"]
-                for row in default]

@@ -1,16 +1,14 @@
 """Smoke tests for the experiment harness (E1–E9 runners) and workloads."""
 
-import pytest
-
 from repro.experiments import (adversarial_scenarios, experiment_baselines,
                                experiment_block_progress, experiment_dominance,
                                experiment_exponential_growth, experiment_theorem1,
                                experiment_theorem2, experiment_theorem3,
-                               experiment_theorem4, experiment_tradeoff, measure,
+                               experiment_theorem4, experiment_tradeoff,
                                scenario_by_name, scenario_names, standard_scenarios,
                                worst_case_scenarios)
-from repro.core.exponential import ExponentialSpec
 from repro.experiments.workloads import fault_count_sweep
+from tests.parity import assert_same_outcome
 
 
 class TestWorkloads:
@@ -45,10 +43,21 @@ class TestWorkloads:
 
 
 class TestHarness:
-    def test_measure_runs_one_scenario(self):
-        scenario = scenario_by_name("faulty-source-two-faced", 7, 2)
-        result = measure(ExponentialSpec(), 7, 2, scenario)
-        assert result.agreement
+    def test_grouped_requests_run_as_one_sweep_and_regroup(self):
+        from repro.api import RunRequest, execute
+        from repro.experiments.harness import _run_grouped
+        requests = [RunRequest(protocol="exponential", n=7, t=2,
+                               initial_value=1, battery="worst-case",
+                               scenario="faulty-source-allies", seed=seed)
+                    for seed in range(3)]
+        grouped = _run_grouped([requests[:2], [], requests[2:]])
+        assert [len(group) for group in grouped] == [2, 0, 1]
+        flat = [report for group in grouped for report in group]
+        for request, report in zip(requests, flat):
+            expected = execute(request)
+            assert_same_outcome(report, expected)
+            assert (report.engine_resolved, report.metadata) == (
+                expected.engine_resolved, expected.metadata)
 
     def test_experiment_theorem2_rows(self):
         rows = experiment_theorem2(n=10, t=3, b_values=(3,))

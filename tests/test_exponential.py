@@ -1,8 +1,6 @@
 """Tests for the Exponential Algorithm (Section 3): agreement, validity,
 round/message bounds, and the lemma-level properties its proof rests on."""
 
-import pytest
-
 from tests.helpers import assert_battery_correct, run_battery
 
 from repro.adversary import (BenignAdversary, EquivocatingSourceWithAlliesAdversary,
@@ -13,7 +11,6 @@ from repro.core.exponential import (ExponentialSpec, exponential_max_message_ent
                                     exponential_schedule)
 from repro.core.protocol import ProtocolConfig
 from repro.core.shifting import ShiftingEIGProcessor
-from repro.experiments.workloads import standard_scenarios
 from repro.runtime.simulation import choose_faulty, run_agreement
 
 

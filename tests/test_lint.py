@@ -16,7 +16,7 @@ import pytest
 from repro.cli import main
 from repro.core.engine import numpy_available
 from repro.lint import (Finding, load_baseline, render_json, render_text,
-                        rule_names, run_lint, save_baseline, to_json)
+                        rule_names, run_lint, save_baseline)
 from repro.lint.baseline import apply_baseline
 from repro.runtime.errors import ConfigurationError
 
@@ -524,6 +524,80 @@ class TestHandRolledDurability:
 
 
 # ---------------------------------------------------------------------------
+# imports/unused
+# ---------------------------------------------------------------------------
+
+class TestUnusedImport:
+    RULE = "imports/unused"
+
+    def test_catches_an_import_nothing_reads(self, tmp_path):
+        result = lint_tree(tmp_path, {"mod.py": """\
+            import os
+            from typing import (Dict,
+                                List)
+
+            def keys(table: Dict) -> list:
+                return list(table)
+            """}, rules=[self.RULE])
+        assert [(f.line, f.message) for f in result.active] == [
+            (1, "'os' is imported but never read"),
+            (3, "'List' is imported but never read")]
+
+    def test_catches_guarded_and_dotted_imports(self, tmp_path):
+        result = lint_tree(tmp_path, {"mod.py": """\
+            from typing import TYPE_CHECKING
+            import os.path
+            if TYPE_CHECKING:
+                from .other import Thing
+            try:
+                import numpy as np
+            except ImportError:
+                np = None
+            """}, rules=[self.RULE])
+        assert sorted(f.message for f in result.active) == [
+            "'Thing' is imported but never read",
+            "'np' is imported but never read",
+            "'os' is imported but never read"]
+
+    def test_passes_reads_annotations_all_and_future(self, tmp_path):
+        result = lint_tree(tmp_path, {"mod.py": """\
+            from __future__ import annotations
+
+            import os.path
+            from typing import Optional
+            from .other import Exported, Thing, helper
+
+            __all__ = ["Exported"]
+
+            def make(path: "Optional[Thing]" = None):
+                def inner():
+                    return helper(os.path.join("a", "b"))
+                return inner
+            """}, rules=[self.RULE])
+        assert result.active == []
+
+    def test_skips_package_init_and_nested_imports(self, tmp_path):
+        result = lint_tree(tmp_path, {
+            "sub/__init__.py": "from .mod import Thing\n",
+            "sub/mod.py": """\
+                def lazy():
+                    from json import dumps
+                    return 1
+
+                class Thing:
+                    pass
+                """}, rules=[self.RULE])
+        assert result.active == []
+
+    def test_waived_import_is_suppressed(self, tmp_path):
+        result = lint_tree(tmp_path, {"mod.py": """\
+            import sitecustomize  # repro-lint: waive[imports/unused] -- side effect
+            """}, rules=[self.RULE])
+        assert result.active == []
+        assert [f.waived for f in result.findings] == [True]
+
+
+# ---------------------------------------------------------------------------
 # Waiver semantics
 # ---------------------------------------------------------------------------
 
@@ -761,7 +835,7 @@ class TestCli:
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out == rule_names()
-        assert len(out) == 9
+        assert len(out) == 10
 
     def test_dirty_tree_exits_one(self, tmp_path, capsys):
         root = tmp_path / "dirty"
@@ -830,7 +904,7 @@ class TestSelfLint:
     def test_src_repro_is_clean(self):
         """The shipped tree passes its own audit (waivers all reasoned)."""
         result = run_lint(REPRO_ROOT, package="repro")
-        assert len(result.rules) == 9
+        assert len(result.rules) == 10
         assert result.active == []
         assert result.exit_code == 0
         for finding in result.findings:

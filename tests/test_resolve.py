@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core.resolve import (converted_root, majority_value, make_resolve_prime,
                                 resolve, resolve_all, resolve_prime)
 from repro.core.tree import InfoGatheringTree
-from repro.core.values import BOTTOM, DEFAULT_VALUE, is_bottom
+from repro.core.values import DEFAULT_VALUE, is_bottom
 from collections import Counter
 
 

@@ -13,11 +13,12 @@ import json
 import pytest
 
 from repro import cli
-from repro.api import RunRequest, execute
+from repro.api import RunRequest, SerialExecutor, execute
 from repro.search import (OBJECTIVES, SearchSpec, get_objective, load_pinned,
                           minimize_counterexample, objective_names,
                           pin_scenario, pinned_paths, replay_pinned,
                           run_search)
+from repro.search.harness import GENERATION_SIZE
 from repro.search.pinning import scenario_name
 from repro.search.space import (mutate_viable, sample_viable, viable)
 from repro.runtime.errors import ConfigurationError
@@ -152,6 +153,29 @@ class TestRunSearch:
         assert result.evaluated == spec.budget
         assert result.best is not None and result.best.score > 0
         assert not result.violations
+
+    @pytest.mark.parametrize("spec", [
+        SearchSpec(objective="max_messages", cells=((7, 2),),
+                   strategy="anneal", budget=35, sweep_seed=1,
+                   adversaries=("two-faced", "consistent-liar", "silent")),
+        SearchSpec(cells=((3, 1),), allow_unsafe=True, budget=35,
+                   sweep_seed=0, adversaries=("consistent-liar", "two-faced")),
+    ], ids=["anneal-cost", "random-violations"])
+    def test_an_executor_instance_matches_the_name(self, spec):
+        # Past GENERATION_SIZE the search calls iter_execute again on the
+        # same instance, whose tickets keep counting.
+        assert spec.budget > GENERATION_SIZE
+        by_name = run_search(spec, executor="serial",
+                             stop_on_violation=False)
+        with SerialExecutor() as executor:
+            by_instance = run_search(spec, executor=executor,
+                                     stop_on_violation=False)
+        assert by_instance.evaluated == by_name.evaluated == spec.budget
+        assert (by_instance.best.index, by_instance.best.score) == (
+            by_name.best.index, by_name.best.score)
+        assert [(hit.index, hit.request, hit.score)
+                for hit in by_instance.violations] == [
+            (hit.index, hit.request, hit.score) for hit in by_name.violations]
 
     def test_stop_on_violation_false_collects_every_hit(self):
         spec = SearchSpec(cells=((3, 1),), allow_unsafe=True, budget=48,

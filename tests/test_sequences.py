@@ -1,7 +1,5 @@
 """Unit and property tests for label sequences (repro.core.sequences)."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

@@ -43,8 +43,8 @@ from repro.runtime.chaos import ChaosPolicy, FaultInjection, chaos_scope
 from repro.runtime.errors import (CheckpointWriteError, ConfigurationError,
                                   SupervisionExhaustedError)
 from repro.serve import (AdmissionError, AgreementService, HttpFrontend,
-                         ResultCache, ServeJournal, ServeMetrics,
-                         ServiceUnavailableError, request_digest)
+                         ResultCache, ServeJournal, ServiceUnavailableError,
+                         request_digest)
 from tests.parity import assert_same_outcome
 
 
@@ -573,6 +573,14 @@ class TestHttpFrontend:
         status, body, _ = _http(frontend.port, "POST", "/run", bad)
         assert status == 400
         assert "'faulty'" in json.loads(body)["error"]
+
+    def test_string_allow_unsafe_is_400(self, frontend):
+        """"no" is not false: the unsafe n=3 cell is refused, not run."""
+        bad = dict(small_request().to_dict(), n=3, t=1, faulty=[2],
+                   allow_unsafe="no")
+        status, body, _ = _http(frontend.port, "POST", "/run", bad)
+        assert status == 400
+        assert "'allow_unsafe'" in json.loads(body)["error"]
 
     def test_non_json_body_is_400(self, frontend):
         conn = http.client.HTTPConnection("127.0.0.1", frontend.port,

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.adversary import BenignAdversary, TwoFacedSourceAdversary
+from repro.adversary import TwoFacedSourceAdversary
 from repro.core.exponential import ExponentialSpec
 from repro.core.protocol import ProtocolConfig
 from repro.runtime.errors import ConfigurationError, SimulationError
-from repro.runtime.simulation import (RunResult, choose_faulty, run_agreement,
-                                      run_many)
+from repro.runtime.simulation import RunResult, choose_faulty, run_agreement
 
 
 class TestChooseFaulty:
@@ -55,15 +54,6 @@ class TestRunAgreement:
         row = result.summary()
         assert row["protocol"] == "exponential"
         assert row["agreement"] is True
-
-    def test_run_many(self):
-        config = ProtocolConfig(n=7, t=2, initial_value=1)
-        scenarios = [(choose_faulty(7, 2), BenignAdversary()),
-                     (choose_faulty(7, 2, source_faulty=True),
-                      TwoFacedSourceAdversary())]
-        results = run_many(ExponentialSpec(), config, scenarios)
-        assert len(results) == 2
-        assert all(result.agreement for result in results)
 
 
 class TestRunResultVerdicts:

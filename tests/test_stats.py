@@ -24,7 +24,7 @@ import random
 import pytest
 
 from repro.analysis import protocol_bound
-from repro.api import RunRequest, derive_seed, execute
+from repro.api import derive_seed, execute
 from repro.runtime.errors import ConfigurationError
 from repro.stats import (COMPUTATION_SLACK, BoundedHistogram, CellAggregate,
                          Extrema, McCell, McSpec, Welford, mc_digest,

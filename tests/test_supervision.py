@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.api import (RegistryError, RunRequest, build_executor, execute,
-                       execute_resilient, executor_registry)
+                       executor_registry)
 from repro.api import executors
 from repro.api.executors import SupervisedExecutor
 from repro.core.engine import numpy_available
@@ -24,6 +24,7 @@ from repro.runtime.supervision import (DEFAULT_LADDER, RetryPolicy,
                                        completed_event, downgrade_event,
                                        pool_retry_record, retry_event,
                                        skip_event)
+from tests.helpers import run_supervised
 from tests.parity import assert_same_outcome
 
 
@@ -365,8 +366,7 @@ class TestSupervisedExecutor:
 
     def test_pool_only_ladder_matches_execute(self):
         request = small_request()
-        supervised = execute_resilient(request, ladder=["pool"],
-                                       deadline=30.0)
+        supervised = run_supervised(request, ladder=["pool"], deadline=30.0)
         assert supervised.metadata == {}
         assert_same_outcome(supervised, execute(request))
 
@@ -376,8 +376,8 @@ class TestSupervisedExecutor:
                             _hang_in_pool_worker)
         request = small_request()
         started = time.monotonic()
-        report = execute_resilient(request, ladder=["pool", "serial"],
-                                   deadline=0.5, max_attempts=1)
+        report = run_supervised(request, ladder=["pool", "serial"],
+                                deadline=0.5, max_attempts=1)
         assert time.monotonic() - started < 30.0
         assert_same_outcome(report, execute(request))
         trail = report.metadata["resilience"]
